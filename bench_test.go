@@ -539,95 +539,78 @@ func BenchmarkCrashImageMaterialisation(b *testing.B) {
 	}
 }
 
-// BenchmarkInjectionCampaignCached measures the verdict cache on the
+// BenchmarkInjectionCampaignCached measures the verdict sharing on the
 // fixture built for it: an imagedup target whose scan phase makes most
-// failure points materialise byte-identical crash images. The cached
-// and uncached campaigns produce identical reports; the metrics carry
-// the injection time and the measured hit rate.
+// failure points materialise byte-identical crash images. The metrics
+// carry the injection time and the share of delivered verdicts that
+// needed no recovery execution (inherited by class members or served
+// from the verdict table).
 func BenchmarkInjectionCampaignCached(b *testing.B) {
 	w := workload.Generate(workload.Config{N: 100, Seed: 42})
 	mk := func() harness.Application {
 		return imagedup.Custom("imagedup-bench", imagedup.Clean, 6, 40, 1<<20)
 	}
-	for _, mode := range []struct {
-		name      string
-		cacheSize int
-	}{{"cached", 0}, {"uncached", -1}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var inject time.Duration
-			var hits, lookups int
-			for i := 0; i < b.N; i++ {
-				res, err := core.Analyze(mk(), w, core.Config{
-					DisableTraceAnalysis: true,
-					ImageCacheSize:       mode.cacheSize,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				inject += res.InjectTime
-				hits += res.ImageCacheHits
-				lookups += res.ImageCacheHits + res.ImageCacheMisses
-			}
-			b.ReportMetric(inject.Seconds()/float64(b.N), "inject_sec")
-			if lookups > 0 {
-				b.ReportMetric(100*float64(hits)/float64(lookups), "hit_pct")
-			}
-		})
+	var inject time.Duration
+	var shared, delivered int
+	for i := 0; i < b.N; i++ {
+		res, err := core.Analyze(mk(), w, core.Config{DisableTraceAnalysis: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		inject += res.InjectTime
+		shared += res.InheritedVerdicts + res.ImageCacheHits
+		delivered += res.InheritedVerdicts + res.Recoveries
+	}
+	b.ReportMetric(inject.Seconds()/float64(b.N), "inject_sec")
+	if delivered > 0 {
+		b.ReportMetric(100*float64(shared)/float64(delivered), "hit_pct")
 	}
 }
 
 // --- Checkpointed replay (DESIGN.md item 12).
 
 // BenchmarkCheckpointedInjection measures the counter-mode injection
-// phase with checkpointed replay disabled (every injection re-executes
-// the workload prefix from icount 0 — the O(N²) pre-checkpoint cost)
-// and enabled. The replayed_events metric carries the total engine work
-// of the campaign, which drops from O(N²) to O(N·gap); speedup_x is the
-// wall-clock ratio against the disabled baseline of the same target.
-// The paper-scale target uses the default 150k-op workload with a pool
-// sized to the working set, where prefix re-execution dominates the
-// campaign; the small targets bound the constant overheads at trace
-// lengths below one checkpoint interval.
+// phase at a tight and at the default checkpoint interval. The
+// replayed_events metric carries the total engine work of the
+// campaign, O(N·gap) with checkpointed replay. The paper-scale target
+// uses the default 150k-op workload with a pool sized to the working
+// set; the small targets bound the constant overheads at trace lengths
+// below one checkpoint interval.
 func BenchmarkCheckpointedInjection(b *testing.B) {
 	targets := []struct {
-		name  string
-		mk    func() harness.Application
-		w     workload.Workload
-		modes []int // checkpoint intervals; -1 disables, 0 is the default
+		name      string
+		mk        func() harness.Application
+		w         workload.Workload
+		intervals []int // checkpoint intervals; 0 is the default
 	}{
 		{
-			name:  "btree-1500",
-			mk:    func() harness.Application { return btree.New(apps.Config{SPT: true, PoolSize: 4 << 20}) },
-			w:     workload.Generate(workload.Config{N: 1500, Seed: 42}),
-			modes: []int{-1, 16384, 0},
+			name:      "btree-1500",
+			mk:        func() harness.Application { return btree.New(apps.Config{SPT: true, PoolSize: 4 << 20}) },
+			w:         workload.Generate(workload.Config{N: 1500, Seed: 42}),
+			intervals: []int{16384, 0},
 		},
 		{
-			name:  "levelhash-1500",
-			mk:    func() harness.Application { return levelhash.New(apps.Config{PoolSize: 4 << 20, WithRecovery: true}) },
-			w:     workload.Generate(workload.Config{N: 1500, Seed: 42}),
-			modes: []int{-1, 16384, 0},
+			name:      "levelhash-1500",
+			mk:        func() harness.Application { return levelhash.New(apps.Config{PoolSize: 4 << 20, WithRecovery: true}) },
+			w:         workload.Generate(workload.Config{N: 1500, Seed: 42}),
+			intervals: []int{16384, 0},
 		},
 		{
-			name:  "btree-150k",
-			mk:    func() harness.Application { return btree.New(apps.Config{SPT: true, PoolSize: 8 << 20}) },
-			w:     workload.Generate(workload.Config{N: 150000, Seed: 42}),
-			modes: []int{-1, 0},
+			name:      "btree-150k",
+			mk:        func() harness.Application { return btree.New(apps.Config{SPT: true, PoolSize: 8 << 20}) },
+			w:         workload.Generate(workload.Config{N: 150000, Seed: 42}),
+			intervals: []int{0},
 		},
 	}
-	modeName := func(interval int) string {
-		switch {
-		case interval < 0:
-			return "off"
-		case interval == 0:
+	intervalName := func(interval int) string {
+		if interval == 0 {
 			return fmt.Sprintf("interval-default-%d", core.DefaultCheckpointInterval)
-		default:
-			return fmt.Sprintf("interval-%d", interval)
 		}
+		return fmt.Sprintf("interval-%d", interval)
 	}
 	for _, tgt := range targets {
-		var baseline float64
-		for _, interval := range tgt.modes {
-			b.Run(fmt.Sprintf("%s/%s", tgt.name, modeName(interval)), func(b *testing.B) {
+		for _, interval := range tgt.intervals {
+			b.Run(fmt.Sprintf("%s/%s", tgt.name, intervalName(interval)), func(b *testing.B) {
 				var inject time.Duration
 				var events, ckptKiB uint64
 				for i := 0; i < b.N; i++ {
@@ -638,25 +621,16 @@ func BenchmarkCheckpointedInjection(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					if interval < 0 && res.CheckpointRestores != 0 {
-						b.Fatal("disabled checkpointing still restored")
-					}
-					if interval >= 0 && res.CheckpointRestores != res.Injections {
-						b.Fatalf("only %d of %d injections restored", res.CheckpointRestores, res.Injections)
+					if res.CheckpointRestores != res.Injections-res.ReplaysAvoided {
+						b.Fatalf("only %d of %d replays restored", res.CheckpointRestores, res.Injections-res.ReplaysAvoided)
 					}
 					inject += res.InjectTime
 					events += res.EngineEvents
 					ckptKiB = res.CheckpointBytes >> 10
 				}
-				sec := inject.Seconds() / float64(b.N)
-				b.ReportMetric(sec, "inject_sec")
+				b.ReportMetric(inject.Seconds()/float64(b.N), "inject_sec")
 				b.ReportMetric(float64(events)/float64(b.N), "replayed_events")
 				b.ReportMetric(float64(ckptKiB), "ckpt_kib")
-				if interval < 0 {
-					baseline = sec
-				} else if baseline > 0 && sec > 0 {
-					b.ReportMetric(baseline/sec, "speedup_x")
-				}
 			})
 		}
 	}

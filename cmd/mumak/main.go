@@ -58,7 +58,7 @@ func main() {
 		eadr       = flag.Bool("eadr", false, "analyse under an eADR persistence domain (§4.3)")
 		storeGran  = flag.Bool("store-granularity", false, "inject at every store instead of persistency instructions (ablation)")
 		stackMode  = flag.Bool("stack-mode", false, "match failure points by call stack instead of instruction counter")
-		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent fault-injection replays, in counter and stack mode (1 = serial)")
+		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent fault-injection replays, in counter and stack mode (1 = one worker)")
 		budget     = flag.Duration("budget", 10*time.Minute, "analysis wall-clock budget (the paper uses 12h)")
 		seedBugs   = flag.String("seed-bugs", "", "comma-separated seeded bug IDs to plant (see internal/bugs)")
 		montageBug = flag.Bool("montage-buggy", false, "enable the two historical Montage bugs")
@@ -68,12 +68,9 @@ func main() {
 		printTree  = flag.Bool("print-tree", false, "render the failure point tree (the Fig 2 view)")
 		hangBudget = flag.Uint64("hang-budget", 0, "PM events one execution may emit before the hang watchdog kills it (0 = default)")
 		recTimeout = flag.Duration("recovery-timeout", 0, "wall-clock watchdog per recovery-oracle invocation (0 = default)")
-		imageCache = flag.Int("image-cache", core.DefaultImageCacheSize, "crash-image verdict cache capacity: identical crash images reuse one recovery verdict (0 disables)")
-		ckptEvery  = flag.Int("checkpoint-interval", core.DefaultCheckpointInterval, "engine events between full-state checkpoints of the instrumented run; counter-mode replays restore from the nearest checkpoint instead of re-executing the prefix (0 disables)")
 		exitZero   = flag.Bool("exit-zero", false, "exit 0 even when bugs were found (smoke tests that assert findings without failing the step)")
 		journalDir = flag.String("journal", "", "directory for a durable campaign journal: every verdict is fsync'd, so a killed campaign resumes with -resume")
 		resume     = flag.Bool("resume", false, "resume the journaled campaign in -journal instead of starting fresh")
-		classing   = flag.Bool("classing", true, "group failure points by phase-1 crash-image hash and replay one representative per class; the rest inherit its verdict (reports are byte-identical)")
 		vcFile     = flag.String("verdict-cache-file", "", "persistent cross-run verdict cache file: re-runs of the identical campaign replay only crash images never judged before")
 	)
 	flag.Parse()
@@ -88,10 +85,8 @@ func main() {
 	}
 	if err := validateFlags(flagValues{
 		ops: *ops, workers: *workers, poolMB: *poolMB,
-		imageCache: *imageCache, ckptInterval: *ckptEvery,
 		budget: *budget, artifacts: *artifacts,
 		journal: *journalDir, resume: *resume,
-		verdictCache: *vcFile,
 	}); err != nil {
 		fatal(err)
 	}
@@ -129,14 +124,6 @@ func main() {
 	gran := fpt.GranPersistency
 	if *storeGran {
 		gran = fpt.GranStore
-	}
-	cacheSize := *imageCache
-	if cacheSize <= 0 {
-		cacheSize = -1 // flag 0 means "off"; Config 0 means "default"
-	}
-	ckptInterval := *ckptEvery
-	if ckptInterval <= 0 {
-		ckptInterval = -1 // flag 0 means "off"; Config 0 means "default"
 	}
 
 	// Campaign journal: identity is pinned at creation and re-checked on
@@ -201,22 +188,19 @@ func main() {
 	}()
 
 	res, err := core.Analyze(app, w, core.Config{
-		Granularity:        gran,
-		Budget:             *budget,
-		StackMode:          *stackMode,
-		Workers:            *workers,
-		KeepWarnings:       *warnings,
-		EADR:               *eadr,
-		HangBudget:         *hangBudget,
-		RecoveryTimeout:    *recTimeout,
-		ImageCacheSize:     cacheSize,
-		CheckpointInterval: ckptInterval,
-		Classing:           *classing,
-		WarmVerdicts:       warmVerdicts,
-		PersistVerdicts:    *vcFile != "",
-		Interrupt:          interrupt,
-		Journal:            journal,
-		Resume:             resumeState,
+		Granularity:     gran,
+		Budget:          *budget,
+		StackMode:       *stackMode,
+		Workers:         *workers,
+		KeepWarnings:    *warnings,
+		EADR:            *eadr,
+		HangBudget:      *hangBudget,
+		RecoveryTimeout: *recTimeout,
+		WarmVerdicts:    warmVerdicts,
+		PersistVerdicts: *vcFile != "",
+		Interrupt:       interrupt,
+		Journal:         journal,
+		Resume:          resumeState,
 	})
 	if journal != nil {
 		if cerr := journal.Close(); cerr != nil {

@@ -19,23 +19,13 @@ import (
 
 func main() {
 	var (
-		version  = flag.String("pmdk", "1.6", "PMDK version to benchmark: 1.6 (Fig 4a) or 1.8 (Fig 4b)")
-		ops      = flag.Int("ops", 15000, "workload size (the paper uses 150000)")
-		budget   = flag.Duration("budget", 60*time.Second, "per-tool analysis budget (stands in for the paper's 12h)")
-		memMB    = flag.Int("mem-mb", 2048, "per-tool memory budget in MiB (stands in for the machine's 256GB)")
-		seed     = flag.Int64("seed", 42, "workload seed")
-		campaign = flag.Bool("campaign", false, "benchmark crash-image equivalence classing instead of Fig 4")
-		target   = flag.String("target", "btree", "registry target for -campaign")
-		jsonOut  = flag.String("campaign-json", "BENCH_campaign.json", "machine-readable output file for -campaign")
+		version = flag.String("pmdk", "1.6", "PMDK version to benchmark: 1.6 (Fig 4a) or 1.8 (Fig 4b)")
+		ops     = flag.Int("ops", 15000, "workload size (the paper uses 150000)")
+		budget  = flag.Duration("budget", 60*time.Second, "per-tool analysis budget (stands in for the paper's 12h)")
+		memMB   = flag.Int("mem-mb", 2048, "per-tool memory budget in MiB (stands in for the machine's 256GB)")
+		seed    = flag.Int64("seed", 42, "workload seed")
 	)
 	flag.Parse()
-	if *campaign {
-		if err := runCampaignBench(*target, *ops, *seed, *budget, *jsonOut); err != nil {
-			fmt.Fprintln(os.Stderr, "perfbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	var ver pmdk.Version
 	var title string
 	switch *version {

@@ -42,14 +42,14 @@ const (
 	// and deterministically fails every execution after it before any
 	// PM instruction: every replay skips, so every failure point must
 	// end up quarantined rather than silently dropped — and the
-	// campaign must still terminate. Counter-mode campaigns need
-	// checkpoints disabled to exercise it (checkpointed replays run no
-	// application code).
+	// campaign must still terminate. Only stack-mode campaigns exercise
+	// it: counter-mode replays restore the instrumented run's
+	// checkpoints and run no application code.
 	ReplayBroken
 	// ReplayFlaky fails exactly the second execution — the first
 	// replay attempt — and succeeds on every other one, so the bounded
 	// per-leaf retry must absorb it (one retried failure point, zero
-	// quarantined).
+	// quarantined). Like ReplayBroken, only stack mode exercises it.
 	ReplayFlaky
 )
 

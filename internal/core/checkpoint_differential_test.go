@@ -99,28 +99,25 @@ func TestCheckpointRestoreMatchesFromScratchAcrossRegistry(t *testing.T) {
 }
 
 // TestCheckpointedCampaignReportsIdentical is the campaign-level
-// differential: with checkpointing on — default or tight interval,
-// serial or parallel — the report (text and JSON) is byte-identical to
-// a non-checkpointed serial run, coverage counters agree, and every
-// injection is served by a restore.
+// differential: at the default or a tight checkpoint interval, with one
+// worker or many, the report (text and JSON) is byte-identical to the
+// reference campaign that re-executes every failure point from scratch,
+// coverage counters agree, and every replay that ran is served by a
+// restore.
 func TestCheckpointedCampaignReportsIdentical(t *testing.T) {
 	for _, tc := range cacheCases() {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			base, err := core.Analyze(tc.mk(), tc.w, core.Config{KeepWarnings: true, CheckpointInterval: -1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if base.Checkpoints != 0 || base.CheckpointBytes != 0 || base.CheckpointRestores != 0 {
-				t.Fatalf("disabled checkpointing reported activity: %d snapshots, %d bytes, %d restores",
-					base.Checkpoints, base.CheckpointBytes, base.CheckpointRestores)
+			base := analyzeReference(t, tc.name, tc.mk, tc.w, core.Config{KeepWarnings: true})
+			if base.CheckpointRestores != 0 {
+				t.Fatalf("reference campaign restored %d checkpoints; it must re-execute", base.CheckpointRestores)
 			}
 			want := renderReport(t, base.Report)
 			variants := []struct {
 				name string
 				cfg  core.Config
 			}{
-				{"default-serial", core.Config{KeepWarnings: true}},
+				{"default-one-worker", core.Config{KeepWarnings: true, Workers: 1}},
 				{"default-parallel", core.Config{KeepWarnings: true, Workers: 4}},
 				{"tight-interval", core.Config{KeepWarnings: true, CheckpointInterval: 64}},
 				{"tight-parallel", core.Config{KeepWarnings: true, CheckpointInterval: 64, Workers: 8}},
@@ -131,13 +128,13 @@ func TestCheckpointedCampaignReportsIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				if got := renderReport(t, res.Report); got != want {
-					t.Errorf("%s: report diverged from the non-checkpointed serial run:\n--- want ---\n%s\n--- got ---\n%s",
+					t.Errorf("%s: report diverged from the reference campaign:\n--- want ---\n%s\n--- got ---\n%s",
 						v.name, want, got)
 				}
-				if res.Injections != base.Injections || res.Recoveries != base.Recoveries ||
+				if res.Injections != base.Injections || res.Recoveries+res.InheritedVerdicts != base.Recoveries ||
 					res.SkippedFailurePoints != base.SkippedFailurePoints {
-					t.Errorf("%s: coverage diverged: injections %d/%d recoveries %d/%d skipped %d/%d",
-						v.name, res.Injections, base.Injections, res.Recoveries, base.Recoveries,
+					t.Errorf("%s: coverage diverged: injections %d/%d recoveries %d+%d/%d skipped %d/%d",
+						v.name, res.Injections, base.Injections, res.Recoveries, res.InheritedVerdicts, base.Recoveries,
 						res.SkippedFailurePoints, base.SkippedFailurePoints)
 				}
 				// A trace shorter than the interval legitimately takes no
@@ -146,9 +143,9 @@ func TestCheckpointedCampaignReportsIdentical(t *testing.T) {
 				if res.CheckpointBytes == 0 {
 					t.Errorf("%s: no checkpoint state recorded", v.name)
 				}
-				if res.CheckpointRestores != res.Injections {
-					t.Errorf("%s: %d of %d injections served by restore; counter mode must restore all",
-						v.name, res.CheckpointRestores, res.Injections)
+				if res.CheckpointRestores != res.Injections-res.ReplaysAvoided {
+					t.Errorf("%s: %d of %d injections (%d replays avoided) served by restore; counter mode must restore every replay",
+						v.name, res.CheckpointRestores, res.Injections, res.ReplaysAvoided)
 				}
 			}
 		})

@@ -3,30 +3,29 @@
 // During the instrumented run the engine maintains a rolling hash of
 // the graceful-crash prefix image (pmem.Options.TrackPrefixHash), and
 // the failure-point-tree builder stamps every new leaf with its
-// prospective (imageHash, size) key — the exact key the replay's
-// verdict cache would compute after crashing at that leaf. The
-// injection campaign can therefore group leaves into equivalence
-// classes BEFORE any replay runs: leaves whose stamps match would
-// materialise byte-identical crash images, and the deterministic
-// recovery oracle necessarily returns the same verdict for all of
-// them.
+// prospective (imageHash, size) key — the exact key a replay crashed at
+// that leaf would compute. The injection campaign therefore groups
+// leaves into equivalence classes BEFORE any replay runs: leaves whose
+// stamps match would materialise byte-identical crash images, and the
+// deterministic recovery oracle necessarily returns the same verdict
+// for all of them.
 //
 // The scheduler replays exactly one representative per class (restore
-// + gap replay + recovery as before) and lets the remaining members
-// inherit the representative's memoised verdict without touching the
-// engine at all — the replay itself is avoided, not just the recovery
-// run the image cache already skipped. Inherited findings are re-keyed
-// to the member's own FirstICount and call stack, exactly as a cache
-// hit re-keys them, so the merged report stays byte-identical to an
-// unclassed campaign, serial and parallel, counter and stack mode.
+// + gap replay + recovery) and lets the remaining members inherit the
+// representative's verdict without touching the engine at all.
+// Inherited findings are re-keyed to the member's own FirstICount and
+// call stack, so the merged report stays byte-identical to the
+// reference campaign that replays and recovers every leaf (counter and
+// stack mode, any worker count).
 //
-// Classing is sound exactly where the image cache is sound: identical
-// persisted prefix image implies identical recovery verdict, which
-// holds whenever the recovery procedure is a deterministic function of
-// the image (DESIGN.md item 14 discusses when it is not).
+// Classing is sound whenever the recovery procedure is a deterministic
+// function of the crash image (DESIGN.md item 14 discusses when it is
+// not).
 package core
 
 import (
+	"fmt"
+
 	"mumak/internal/fpt"
 	"mumak/internal/oracle"
 	"mumak/internal/report"
@@ -48,23 +47,20 @@ type classPlan struct {
 }
 
 // buildClassPlan groups the frozen tree's leaves by their phase-1 image
-// stamps. It returns nil — classing off — when the tree is empty or any
-// leaf is unstamped (an artifact predating stamping, or a phase 1 run
-// without TrackPrefixHash): a partial plan would replay some members
-// live and inherit others depending on which happened to be stamped,
-// and all-or-nothing keeps the schedule deterministic.
-func buildClassPlan(tree *fpt.Tree) *classPlan {
+// stamps. Every leaf must be stamped (Analyze's phase 1 always tracks
+// the prefix hash): an unstamped leaf would share the zero key with
+// every other unstamped leaf and inherit a verdict its image never
+// earned.
+func buildClassPlan(tree *fpt.Tree) (*classPlan, error) {
 	ordered := tree.LeavesByICount()
-	if len(ordered) == 0 {
-		return nil
-	}
 	p := &classPlan{
 		keys: make(map[int]imageKey, len(ordered)),
 		reps: make(map[imageKey]int, len(ordered)),
 	}
 	for _, leaf := range ordered {
 		if leaf.ImageSize == 0 {
-			return nil
+			return nil, fmt.Errorf("failure point #%d (instruction %d) carries no crash-image stamp",
+				leaf.ID, leaf.FirstICount)
 		}
 		k := imageKey{hash: leaf.ImageHash, size: leaf.ImageSize}
 		p.keys[leaf.ID] = k
@@ -73,7 +69,7 @@ func buildClassPlan(tree *fpt.Tree) *classPlan {
 			p.classes++
 		}
 	}
-	return p
+	return p, nil
 }
 
 // key returns the leaf's stamped image key.
@@ -101,9 +97,9 @@ type classVerdict struct {
 // recovery runs (not recovered, so Recoveries counts one oracle
 // consultation per class), and the finding — when the class has one —
 // is re-keyed to the member's own FirstICount and call stack, exactly
-// how a cache hit re-keys the memoised verdict today. Members still
-// count as injected: the class representative proved the failure point
-// reachable and judged its crash image.
+// how applyVerdict keys a live verdict. Members still count as
+// injected: the class representative proved the failure point reachable
+// and judged its crash image.
 func inheritOutcome(leaf *fpt.Leaf, v *classVerdict) replayOutcome {
 	out := replayOutcome{
 		executed:     true,
@@ -122,12 +118,11 @@ func inheritOutcome(leaf *fpt.Leaf, v *classVerdict) replayOutcome {
 }
 
 // elideOutcome materialises a class representative's outcome from a
-// verdict-cache hit on its phase-1 stamp, skipping the replay entirely
+// verdict-table hit on its phase-1 stamp, skipping the replay entirely
 // (checkpoint restore, gap replay and image materialisation included).
-// The hit plays out exactly like the post-replay cache hit it
-// replaces — recovered, cacheHit, same finding re-keying — plus the
-// replayElided marker; seeded attributes the hit to a cross-run
-// verdict-cache file.
+// The hit plays out exactly like a post-replay table hit — recovered,
+// cacheHit, same finding keying — plus the replayElided marker; seeded
+// attributes the hit to a cross-run verdict-cache file.
 func elideOutcome(leaf *fpt.Leaf, check oracle.Outcome, seeded bool) replayOutcome {
 	out := replayOutcome{
 		executed:      true,
@@ -142,56 +137,36 @@ func elideOutcome(leaf *fpt.Leaf, check oracle.Outcome, seeded bool) replayOutco
 	return out
 }
 
-// replayClassed is the worker-side classing fast path shared by the
-// serial and parallel drivers. With no plan it falls through to the
-// live replay. A class member never replays on a worker: its verdict is
-// resolved at merge time (mergeState.dispatch), when its
-// representative's outcome has necessarily been merged — the
-// placeholder pendingInherit outcome defers it there. A representative
-// whose stamped key is already in the verdict cache (warm persistent
-// cache, resumed snapshot) elides its replay outright; the pre-check is
-// scheduling-independent because live replays only ever store keys of
-// their own class, and a class's first consultation is always its
-// representative.
-func replayClassed(plan *classPlan, cache *imageCache, leaf *fpt.Leaf,
-	live func() replayOutcome) replayOutcome {
+// replayClassed is the worker side of the campaign. A class member
+// never replays on a worker: its verdict is resolved at merge time
+// (mergeState.dispatch), when its representative's outcome has
+// necessarily been merged — the placeholder pendingInherit outcome
+// defers it there. A representative whose stamped key is already in the
+// verdict table (warm persistent cache, resumed snapshot) elides its
+// replay outright; the pre-check is scheduling-independent because live
+// replays only ever store keys of their own class, and a class's first
+// consultation is always its representative.
+func replayClassed(plan *classPlan, table *verdictTable, leaf *fpt.Leaf,
+	live func(*fpt.Leaf) replayOutcome) replayOutcome {
 
-	if plan == nil {
-		return live()
-	}
 	if !plan.isRep(leaf) {
 		return replayOutcome{executed: true, pendingInherit: true}
 	}
-	if cache != nil {
-		if check, seeded, ok := cache.lookup(plan.key(leaf)); ok {
-			return elideOutcome(leaf, check, seeded)
-		}
+	if check, seeded, ok := table.lookup(plan.key(leaf)); ok {
+		return elideOutcome(leaf, check, seeded)
 	}
-	return live()
+	return live(leaf)
 }
 
-// dispatch resolves one claimed leaf into an outcome on the merge
-// goroutine: the serial driver's only path, and the parallel merge
-// loop's resolution of pendingInherit placeholders. A member whose
-// class verdict was captured inherits it; a member whose representative
-// produced no verdict (quarantined, deadline-released, panicked) falls
-// back to a live replay, which then behaves exactly like the unclassed
-// campaign would — including hitting the verdict cache if a fallback
-// sibling already populated the class key.
+// dispatch resolves a class member's pendingInherit placeholder on the
+// merge goroutine. A member whose class verdict was captured inherits
+// it; a member whose representative produced no verdict (quarantined,
+// deadline-released, panicked) falls back to a live replay — including
+// hitting the verdict table if a fallback sibling already judged the
+// class key.
 func (m *mergeState) dispatch(leaf *fpt.Leaf) replayOutcome {
-	if m.plan == nil {
-		return m.replayer(leaf)
-	}
-	if !m.plan.isRep(leaf) {
-		if v := m.classes[m.plan.key(leaf)]; v != nil {
-			return inheritOutcome(leaf, v)
-		}
-		return m.replayer(leaf)
-	}
-	if m.cache != nil {
-		if check, seeded, ok := m.cache.lookup(m.plan.key(leaf)); ok {
-			return elideOutcome(leaf, check, seeded)
-		}
+	if v := m.classes[m.plan.key(leaf)]; v != nil {
+		return inheritOutcome(leaf, v)
 	}
 	return m.replayer(leaf)
 }

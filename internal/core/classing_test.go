@@ -1,7 +1,9 @@
 package core_test
 
 import (
+	"bytes"
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -36,8 +38,8 @@ func classingCases(stackMode bool) []struct {
 }
 
 // TestClassingDifferential is the classing correctness contract: for
-// every fixture, mode and worker count, a classed campaign's report —
-// text and JSON — is byte-identical to the unclassed reference, the
+// every fixture, mode and worker count, the campaign's report — text
+// and JSON — is byte-identical to the unclassed reference campaign, the
 // injection coverage is unchanged, and the recovery runs collapse to
 // one per crash-image equivalence class (members inherit, they are
 // never re-judged).
@@ -52,17 +54,13 @@ func TestClassingDifferential(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%s", tc.name, mode), func(t *testing.T) {
 				t.Parallel()
 				base := core.Config{KeepWarnings: true, StackMode: stackMode}
-				ref, err := core.Analyze(tc.mk(), tc.w, base)
-				if err != nil {
-					t.Fatal(err)
-				}
+				ref := analyzeReference(t, tc.name, tc.mk, tc.w, base)
 				if ref.EquivClasses != 0 || ref.InheritedVerdicts != 0 || ref.ReplaysAvoided != 0 {
-					t.Fatalf("unclassed run reported classing activity: %+v", ref)
+					t.Fatalf("reference run reported classing activity: %+v", ref)
 				}
 				want := renderReport(t, ref.Report)
 				for _, workers := range []int{1, 4} {
 					cfg := base
-					cfg.Classing = true
 					cfg.Workers = workers
 					res, err := core.Analyze(tc.mk(), tc.w, cfg)
 					if err != nil {
@@ -70,7 +68,7 @@ func TestClassingDifferential(t *testing.T) {
 					}
 					label := fmt.Sprintf("workers=%d", workers)
 					if got := renderReport(t, res.Report); got != want {
-						t.Errorf("%s: classed report differs from unclassed reference\n--- unclassed ---\n%s\n--- classed ---\n%s",
+						t.Errorf("%s: classed report differs from the reference\n--- reference ---\n%s\n--- classed ---\n%s",
 							label, want, got)
 					}
 					if res.Injections != ref.Injections || res.SkippedFailurePoints != ref.SkippedFailurePoints ||
@@ -81,10 +79,10 @@ func TestClassingDifferential(t *testing.T) {
 							res.QuarantinedFailurePoints, ref.QuarantinedFailurePoints)
 					}
 					if res.EquivClasses == 0 {
-						t.Errorf("%s: classing enabled but no classes were built", label)
+						t.Errorf("%s: no classes were built", label)
 					}
-					// Every inherited member would have recovered (via the
-					// image cache) in the unclassed run; nothing else changes.
+					// Every inherited member recovered in the reference run;
+					// nothing else changes.
 					if res.Recoveries+res.InheritedVerdicts != ref.Recoveries {
 						t.Errorf("%s: recoveries %d + inherited %d != reference recoveries %d",
 							label, res.Recoveries, res.InheritedVerdicts, ref.Recoveries)
@@ -110,7 +108,7 @@ func TestClassingDifferential(t *testing.T) {
 
 // TestClassingDedupsScanPhase pins the perf win on the fixture built
 // for duplication: imagedup's scan leaves share one crash image, so the
-// classed campaign must inherit (not just cache-hit) all of them.
+// campaign must inherit (not replay) all of them.
 func TestClassingDedupsScanPhase(t *testing.T) {
 	mkDup := func(name string) harness.Application {
 		app, ok := imagedup.New(name)
@@ -120,7 +118,7 @@ func TestClassingDedupsScanPhase(t *testing.T) {
 		return app
 	}
 	res, err := core.Analyze(mkDup("imagedup"), smallWorkload(3),
-		core.Config{DisableTraceAnalysis: true, Classing: true})
+		core.Config{DisableTraceAnalysis: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,14 +129,9 @@ func TestClassingDedupsScanPhase(t *testing.T) {
 		t.Fatalf("classing was vacuous: %d classes for %d injections",
 			res.EquivClasses, res.Injections)
 	}
-	ref, err := core.Analyze(mkDup("imagedup"), smallWorkload(3),
-		core.Config{DisableTraceAnalysis: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.EngineEvents >= ref.EngineEvents {
-		t.Errorf("classing did not reduce replayed engine events: %d vs %d",
-			res.EngineEvents, ref.EngineEvents)
+	if res.CheckpointRestores != res.Injections-res.ReplaysAvoided || res.ReplaysAvoided == 0 {
+		t.Errorf("%d restores for %d injections with %d replays avoided; inherited members must not replay",
+			res.CheckpointRestores, res.Injections, res.ReplaysAvoided)
 	}
 }
 
@@ -148,16 +141,14 @@ func TestClassingDedupsScanPhase(t *testing.T) {
 func TestClassingEADRDifferential(t *testing.T) {
 	mk := func() harness.Application { return btree.New(cfgSPT(btree.BugCountOutsideTx)) }
 	w := smallWorkload(7)
-	ref, err := core.Analyze(mk(), w, core.Config{KeepWarnings: true, EADR: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	classed, err := core.Analyze(mk(), w, core.Config{KeepWarnings: true, EADR: true, Classing: true})
+	cfg := core.Config{KeepWarnings: true, EADR: true}
+	ref := analyzeReference(t, "btree-bug-seed7", mk, w, cfg)
+	classed, err := core.Analyze(mk(), w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := renderReport(t, classed.Report), renderReport(t, ref.Report); got != want {
-		t.Errorf("eADR classed report differs from unclassed\n--- unclassed ---\n%s\n--- classed ---\n%s", want, got)
+		t.Errorf("eADR classed report differs from the reference\n--- reference ---\n%s\n--- classed ---\n%s", want, got)
 	}
 	if classed.Recoveries+classed.InheritedVerdicts != ref.Recoveries {
 		t.Errorf("eADR recoveries %d + inherited %d != reference %d",
@@ -173,7 +164,7 @@ func TestClassingEADRDifferential(t *testing.T) {
 func TestPersistentVerdictCacheWarmMatchesCold(t *testing.T) {
 	mk := func() harness.Application { return btree.New(cfgSPT(btree.BugCountOutsideTx)) }
 	w := smallWorkload(21)
-	cold, err := core.Analyze(mk(), w, core.Config{Classing: true, PersistVerdicts: true})
+	cold, err := core.Analyze(mk(), w, core.Config{PersistVerdicts: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,42 +186,67 @@ func TestPersistentVerdictCacheWarmMatchesCold(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, classing := range []bool{true, false} {
-		warm, err := core.Analyze(mk(), w, core.Config{
-			Classing: classing, WarmVerdicts: warmEntries, PersistVerdicts: true,
-		})
+	warm, err := core.Analyze(mk(), w, core.Config{WarmVerdicts: warmEntries, PersistVerdicts: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := renderReport(t, warm.Report); got != want {
+		t.Errorf("warm report differs from cold\n--- cold ---\n%s\n--- warm ---\n%s", want, got)
+	}
+	if warm.PersistentCacheHits == 0 {
+		t.Error("warm run hit the persistent cache zero times")
+	}
+	if warm.PersistentCacheMisses != 0 || warm.ImageCacheMisses != 0 {
+		t.Errorf("warm run missed %d images (%d recoveries run) the cold run should have judged",
+			warm.PersistentCacheMisses, warm.ImageCacheMisses)
+	}
+	if warm.ReplaysAvoided != warm.Injections {
+		t.Errorf("warm run avoided %d of %d replays; warming must elide every representative",
+			warm.ReplaysAvoided, warm.Injections)
+	}
+}
+
+// TestVerdictCacheFileDeterministic: the verdict-cache file a campaign
+// saves does not depend on which worker judged which image first — one
+// worker and four write the same bytes.
+func TestVerdictCacheFileDeterministic(t *testing.T) {
+	mk := func() harness.Application { return btree.New(cfgSPT(btree.BugCountOutsideTx)) }
+	w := smallWorkload(21)
+	meta := campaign.Meta{Target: "fixture", Ops: 21, Seed: 21}
+	var files [][]byte
+	for _, workers := range []int{1, 4} {
+		res, err := core.Analyze(mk(), w, core.Config{Workers: workers, PersistVerdicts: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		label := fmt.Sprintf("classing=%v", classing)
-		if got := renderReport(t, warm.Report); got != want {
-			t.Errorf("%s: warm report differs from cold\n--- cold ---\n%s\n--- warm ---\n%s", label, want, got)
+		if len(res.VerdictCache) < 2 {
+			t.Fatalf("workers=%d: %d verdicts exported; the ordering check is vacuous", workers, len(res.VerdictCache))
 		}
-		if warm.PersistentCacheHits == 0 {
-			t.Errorf("%s: warm run hit the persistent cache zero times", label)
+		path := filepath.Join(t.TempDir(), "verdicts.bin")
+		if err := campaign.SaveVerdictCache(path, meta, res.VerdictCache); err != nil {
+			t.Fatal(err)
 		}
-		if warm.PersistentCacheMisses != 0 {
-			t.Errorf("%s: warm run missed %d images the cold run should have judged",
-				label, warm.PersistentCacheMisses)
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if classing && warm.ReplaysAvoided <= cold.ReplaysAvoided {
-			t.Errorf("warm classed run avoided %d replays, cold avoided %d; warming must elide the representatives too",
-				warm.ReplaysAvoided, cold.ReplaysAvoided)
-		}
+		files = append(files, b)
+	}
+	if !bytes.Equal(files[0], files[1]) {
+		t.Error("verdict-cache files differ between one worker and four")
 	}
 }
 
 // TestClassingResumeByteIdentical crosses classing with crash-safe
-// resume: a classed journaled campaign killed mid-run must resume to
-// the uninterrupted classed report, with inherited verdicts flowing
-// across the resume boundary (class templates are re-captured from the
-// folded journal records).
+// resume: a journaled campaign killed mid-run must resume to the
+// reference report, with inherited verdicts flowing across the resume
+// boundary (class templates are re-captured from the folded journal
+// records).
 func TestClassingResumeByteIdentical(t *testing.T) {
 	mk := func() harness.Application { return btree.New(cfgSPT(btree.BugCountOutsideTx)) }
 	w := smallWorkload(21)
 	cfg := journaledConfig(false, 1)
-	cfg.Classing = true
-	ref, err := core.Analyze(mk(), w, cfg)
+	ref, err := core.Analyze(mk(), w, core.Reference(core.Config{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,10 +257,9 @@ func TestClassingResumeByteIdentical(t *testing.T) {
 		dir := copyTruncated(t, full, cut, cut%2 == 0)
 		res := analyzeResumed(t, mk, w, cfg, dir)
 		label := fmt.Sprintf("cut=%d", cut)
-		// EngineEvents are deliberately not compared: a resumed classed
-		// campaign may elide representatives through snapshot-seeded
-		// cache entries, which skips their gap replays without changing
-		// a single verdict.
+		// EngineEvents are deliberately not compared: the reference
+		// re-executes every leaf, and a resumed campaign may also elide
+		// representatives through snapshot-loaded table entries.
 		if got, want := renderReport(t, res.Report), renderReport(t, ref.Report); got != want {
 			t.Errorf("%s: resumed classed report differs\n--- reference ---\n%s\n--- resumed ---\n%s",
 				label, want, got)
@@ -255,14 +270,5 @@ func TestClassingResumeByteIdentical(t *testing.T) {
 				label, res.Injections, ref.Injections, res.SkippedFailurePoints, ref.SkippedFailurePoints,
 				res.QuarantinedFailurePoints, ref.QuarantinedFailurePoints)
 		}
-	}
-	// A classed journal folds into an unclassed resume (and vice versa):
-	// the records carry complete outcomes, so classing is not part of
-	// the campaign identity.
-	dir := copyTruncated(t, full, logLen/2, true)
-	plain := journaledConfig(false, 1)
-	res := analyzeResumed(t, mk, w, plain, dir)
-	if got, want := res.Report.Format(true), ref.Report.Format(true); got != want {
-		t.Errorf("unclassed resume of a classed journal diverges\n--- reference ---\n%s\n--- resumed ---\n%s", want, got)
 	}
 }

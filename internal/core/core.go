@@ -79,8 +79,8 @@ type Config struct {
 	StackMode bool
 	// Workers bounds the number of concurrent replays in the
 	// fault-injection campaign, in both counter and stack mode; 0 or 1
-	// runs serially. Replays are independent (the failure point tree is
-	// frozen before the campaign and traversal state lives in a
+	// means one worker. Replays are independent (the failure point tree
+	// is frozen before the campaign and traversal state lives in a
 	// ClaimSet), and findings are merged in leaf first-occurrence
 	// order, so the report is byte-identical for any worker count.
 	Workers int
@@ -101,33 +101,22 @@ type Config struct {
 	// watchdog on each recovery-oracle invocation (0 = default). The
 	// campaign deadline caps it further when less budget remains.
 	RecoveryTimeout time.Duration
-	// ImageCacheSize bounds the crash-image verdict cache: recovery
-	// verdicts are memoised by image content hash, so leaves whose
-	// graceful-crash images are byte-identical (common when failure
-	// points are separated only by flushes and fences) run the recovery
-	// oracle once. Zero selects DefaultImageCacheSize; a negative value
-	// disables caching. Reports are identical either way — only the
-	// redundant recovery runs are skipped.
+	// ImageCacheSize bounded the crash-image verdict cache.
+	//
+	// Deprecated: the campaign's verdict table is unbounded and always
+	// on; nothing reads this field.
 	ImageCacheSize int
-	// Classing enables phase-1 crash-image equivalence classing: the
-	// instrumented run stamps every failure point with the content hash
-	// of its prospective graceful-crash image (a rolling hash maintained
-	// alongside execution, O(changed bytes)), the campaign groups leaves
-	// whose stamps match, replays exactly one representative per class,
-	// and the remaining members inherit the memoised verdict without
-	// replaying at all. Reports are byte-identical to an unclassed
-	// campaign (serial and parallel, counter and stack mode) — only the
-	// redundant replays and recoveries are skipped. The zero value is
-	// off so ablation and differential comparisons start unclassed; the
-	// CLI enables it by default.
+	// Classing enabled phase-1 crash-image equivalence classing.
+	//
+	// Deprecated: every campaign is classed (classing.go); nothing reads
+	// this field.
 	Classing bool
-	// WarmVerdicts seeds the campaign's verdict cache from a persistent
+	// WarmVerdicts seeds the campaign's verdict table from a persistent
 	// cross-run cache file (campaign.LoadVerdictCache) before any replay
 	// runs, so re-runs of an identical campaign only replay classes
-	// whose image hash was never judged. Ignored when the image cache is
-	// disabled.
+	// whose image hash was never judged.
 	WarmVerdicts []campaign.CacheEntry
-	// PersistVerdicts exports the campaign's final verdict-cache
+	// PersistVerdicts exports the campaign's final verdict-table
 	// contents into Result.VerdictCache so the caller can persist them
 	// (campaign.SaveVerdictCache) for the next run.
 	PersistVerdicts bool
@@ -159,37 +148,36 @@ type Config struct {
 	// campaign snapshots. Zero selects DefaultSnapshotEvery; a negative
 	// value disables periodic snapshots (a final snapshot is still
 	// written). Resume correctness never depends on snapshots — they
-	// only seed the verdict cache and document progress.
+	// only seed the verdict table and document progress.
 	SnapshotEvery int
 	// CheckpointInterval is the spacing, in engine events, of the
-	// full-state checkpoints the instrumented run records so that
-	// counter-mode replays restore from the nearest checkpoint and
-	// replay only the gap of logged mutations, instead of re-executing
-	// the workload from scratch per failure point. Zero selects
-	// DefaultCheckpointInterval; a negative value disables
-	// checkpointing (replays re-execute, the pre-checkpoint behaviour).
-	// Reports are byte-identical either way — the restored engine state
-	// is exactly the from-scratch crash state. Stack mode ignores it:
-	// stack-matching needs the application actually executing.
+	// full-state checkpoints the instrumented run records: counter-mode
+	// replays restore the nearest checkpoint and replay only the gap of
+	// logged mutations. Zero or negative selects
+	// DefaultCheckpointInterval. Reports do not depend on it — the
+	// restored engine state is exactly the from-scratch crash state.
+	// Stack mode ignores it: stack-matching needs the application
+	// actually executing.
 	CheckpointInterval int
 	// unsandboxed restores the pre-sandbox execution path — target
 	// panics propagate and no watchdogs run. It exists only so
 	// package-internal differential tests can prove the sandbox leaves
 	// clean-target reports byte-identical.
 	unsandboxed bool
+	// reference, when non-nil, replaces injectAll as phase 2. It exists
+	// only so package tests can run the serial, unclassed, re-executing
+	// reference campaign (export_test.go) the differential suites
+	// compare the production campaign against.
+	reference func(harness.Application, workload.Workload, *fpt.Tree, Config,
+		*report.Report, *Result, time.Time, *pmem.CheckpointStore) (bool, error)
 }
 
-// checkpointEvery resolves CheckpointInterval to the engine option: the
-// default when zero, disabled (0) when negative.
+// checkpointEvery resolves CheckpointInterval to the engine option.
 func (cfg Config) checkpointEvery() uint64 {
-	switch {
-	case cfg.CheckpointInterval < 0:
-		return 0
-	case cfg.CheckpointInterval == 0:
+	if cfg.CheckpointInterval <= 0 {
 		return DefaultCheckpointInterval
-	default:
-		return uint64(cfg.CheckpointInterval)
 	}
+	return uint64(cfg.CheckpointInterval)
 }
 
 // Result is the outcome of one analysis.
@@ -259,55 +247,51 @@ type Result struct {
 	// classified as non-terminating; each produced a RecoveryHang
 	// finding.
 	RecoveryHangs int
-	// ImageCacheHits and ImageCacheMisses count verdict-cache
-	// consultations during fault injection: a hit delivered a memoised
+	// ImageCacheHits and ImageCacheMisses count verdict-table
+	// consultations during fault injection: a hit delivered a stored
 	// verdict without running recovery (the hit is still counted in
 	// Recoveries — a verdict was delivered), a miss ran the oracle and
-	// populated the cache. Their sum equals Recoveries when caching is
-	// enabled; the split between them is scheduling-dependent under
-	// Workers>1 (whichever worker reaches a fresh image first takes the
-	// miss). Both are zero when caching is disabled.
+	// stored its verdict. Their sum equals Recoveries, and
+	// ImageCacheMisses is the number of recovery executions.
 	ImageCacheHits   int
 	ImageCacheMisses int
-	// ImageCacheEntries is the number of distinct crash images resident
-	// in the verdict cache when the campaign ended (bounded by
-	// ImageCacheSize).
+	// ImageCacheEntries is the number of distinct crash images in the
+	// verdict table when the campaign ended, warm entries included.
 	ImageCacheEntries int
 	// EquivClasses is the number of distinct crash-image equivalence
-	// classes the phase-1 stamps partitioned the failure points into
-	// (zero when classing was off or the tree was unstamped).
+	// classes the phase-1 stamps partitioned the failure points into.
 	// InheritedVerdicts counts class members that never replayed —
 	// they inherited their representative's verdict — and
 	// ReplaysAvoided counts every elided replay (inherited members plus
 	// representatives whose stamped key was already in the verdict
-	// cache). These counters are deliberately kept out of the JSON
-	// report so classed and unclassed reports stay byte-identical.
+	// table). These counters are deliberately kept out of the JSON
+	// report, which stays byte-identical to the reference campaign's.
 	EquivClasses      int
 	InheritedVerdicts int
 	ReplaysAvoided    int
-	// PersistentCacheHits and PersistentCacheMisses count verdict-cache
+	// PersistentCacheHits and PersistentCacheMisses count verdict-table
 	// consultations against entries seeded from a cross-run verdict
 	// cache file: a hit delivered a previous run's verdict, a miss ran
 	// the oracle for an image the file had never seen. Both stay zero
 	// without Config.WarmVerdicts/PersistVerdicts.
 	PersistentCacheHits   int
 	PersistentCacheMisses int
-	// VerdictCache is the campaign's final exported verdict-cache
-	// contents (least recently used first), filled only when
+	// VerdictCache is the campaign's final exported verdict-table
+	// contents, sorted by (hash, size), filled only when
 	// Config.PersistVerdicts asked for it; pass it to
 	// campaign.SaveVerdictCache to warm the next run.
 	VerdictCache []campaign.CacheEntry
 	// Checkpoints is the number of full-state checkpoints the
 	// instrumented run recorded; CheckpointBytes approximates their
 	// resident size (mutation log plus snapshots, shared COW bases
-	// counted once). Both are zero when checkpointing was disabled or
-	// inapplicable (stack mode, fault injection disabled).
+	// counted once). Both are zero in stack mode and with fault
+	// injection disabled.
 	Checkpoints     int
 	CheckpointBytes uint64
 	// CheckpointRestores counts injections served by a checkpoint
-	// restore plus mutation-log gap replay instead of a from-scratch
-	// re-execution. With checkpointing enabled in counter mode it
-	// equals Injections.
+	// restore plus mutation-log gap replay: in counter mode, every
+	// injection that was not an elided replay (Injections minus
+	// ReplaysAvoided).
 	CheckpointRestores int
 	// AnalyzerPeakLines is the online analyzer's peak number of
 	// simultaneously tracked cache lines (zero when trace analysis was
@@ -391,19 +375,19 @@ func Analyze(app harness.Application, w workload.Workload, cfg Config) (*Result,
 		opts.MaxEvents = sb.budget
 		opts.Deadline = sb.deadline
 	}
-	// Record checkpoints during the instrumented run when the upcoming
-	// campaign can use them: counter-mode replays restore engine state
-	// directly, while stack mode must re-execute the application to
-	// match call stacks, so recording would only cost memory there.
-	if !cfg.DisableFaultInjection && !cfg.StackMode {
-		opts.CheckpointEvery = cfg.checkpointEvery()
-	}
-	// Classing needs phase 1 to stamp every failure point with its
-	// prospective crash-image hash, in both injection modes: the rolling
-	// hash read at leaf-creation time equals the content hash of the
-	// image a replay crashed at that leaf would materialise.
-	if !cfg.DisableFaultInjection && cfg.Classing {
+	if !cfg.DisableFaultInjection {
+		// Classing needs phase 1 to stamp every failure point with its
+		// prospective crash-image hash, in both injection modes: the
+		// rolling hash read at leaf-creation time equals the content
+		// hash of the image a replay crashed at that leaf would
+		// materialise.
 		opts.TrackPrefixHash = true
+		// Counter-mode replays restore engine state from checkpoints,
+		// while stack mode must re-execute the application to match
+		// call stacks, so recording would only cost memory there.
+		if !cfg.StackMode {
+			opts.CheckpointEvery = cfg.checkpointEvery()
+		}
 	}
 	eng, sout := execute(app, w, opts, sb, hooks...)
 	res.EngineEvents += eng.Events()
@@ -446,17 +430,21 @@ func Analyze(app harness.Application, w workload.Workload, cfg Config) (*Result,
 	}
 
 	// Phase 2: fault injection with the recovery oracle. The checkpoint
-	// store recorded by the instrumented run (nil when disabled) is
+	// store recorded by the instrumented run (nil in stack mode) is
 	// frozen here — read-only from now on — and shared across campaign
-	// workers like the tree and the verdict cache.
+	// workers like the tree and the verdict table.
 	if !cfg.DisableFaultInjection {
 		ckpts := eng.Checkpoints()
 		if ckpts != nil {
 			res.Checkpoints = ckpts.Count()
 			res.CheckpointBytes = ckpts.Bytes()
 		}
+		inject := injectAll
+		if cfg.reference != nil {
+			inject = cfg.reference
+		}
 		t0 = time.Now()
-		timedOut, err := injectAll(app, w, tree, cfg, rep, res, deadline, ckpts)
+		timedOut, err := inject(app, w, tree, cfg, rep, res, deadline, ckpts)
 		if err != nil {
 			return nil, fmt.Errorf("fault injection: %w", err)
 		}

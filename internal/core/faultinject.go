@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"time"
 	"unicode/utf8"
 
@@ -26,8 +25,8 @@ import (
 // doomed replays would waste the entire budget. A small bound aborts the
 // campaign instead while still tolerating the occasional
 // non-deterministic hiccup stack mode exists to serve. Counter mode
-// keeps consuming: its replays are cheap (they stop at the recorded
-// counter) and skips there are honest per-leaf coverage accounting.
+// keeps consuming: its replays are cheap checkpoint restores and skips
+// there are honest per-leaf coverage accounting.
 const maxNoProgress = 3
 
 // maxInjectionErrors caps the error strings sampled into
@@ -45,12 +44,6 @@ const maxLeafRetries = 2
 // k×retryBackoff, giving a transient condition a moment to clear without
 // slowing a deterministic failure down meaningfully.
 const retryBackoff = time.Millisecond
-
-// replayFuelSlack is the extra fuel granted to a counter-mode replay
-// past the leaf's recorded instruction counter. A deterministic replay
-// crashes at exactly FirstICount events, so anything beyond a small
-// slack means the run diverged into unbounded PM activity.
-const replayFuelSlack = 4096
 
 // sandboxCfg carries the per-execution watchdog bounds of one campaign:
 // the deterministic fuel budget, the recovery wall-clock timeout, and
@@ -194,16 +187,19 @@ const replayDuring = "a fault-injection replay"
 // Fig 1), and reports every crash state the recovery oracle rejects. It
 // returns whether the deadline expired first.
 //
-// In the default counter mode the injector crashes at the leaf's
-// recorded first-occurrence instruction counter — the §5 optimisation
-// that works because the target is deterministic. In stack mode each
-// replay targets one leaf and crashes at the first failure-point event
-// whose call stack matches it, which needs stack capture on every replay
-// but tolerates non-determinism. Either way replays are independent
-// (each constructs a private engine and a private injector over the
-// immutable tree), so both campaigns fan out across cfg.Workers
-// goroutines when asked to; traversal state lives in the ClaimSet that
-// hands leaves out, published as Result.Claims.
+// Leaves are grouped by their phase-1 crash-image stamps (classing.go):
+// one representative per class is replayed, the other members inherit
+// its verdict. In the default counter mode a replay restores the
+// instrumented run's nearest checkpoint and replays the mutation-log gap
+// up to the leaf's recorded first-occurrence instruction counter — the
+// §5 optimisation that works because the target is deterministic. In
+// stack mode each replay re-executes the workload and crashes at the
+// first failure-point event whose call stack matches the leaf, which
+// needs stack capture on every replay but tolerates non-determinism.
+// Either way replays are independent (each builds a private engine and
+// a private injector over the immutable tree), so the campaign fans out
+// across cfg.Workers goroutines; traversal state lives in the ClaimSet
+// that hands leaves out, published as Result.Claims.
 //
 // Every replay and recovery runs inside the sandbox: a foreign panic or
 // a watchdog kill becomes a TargetCrash or RecoveryHang finding instead
@@ -214,55 +210,50 @@ const replayDuring = "a fault-injection replay"
 // snapshotted periodically plus once at the end, however the campaign
 // ends. With a resume state (cfg.Resume) the journaled prefix is folded
 // through the merge step first — no replay re-executes — and the
-// campaign continues from the first unexplored leaf. The only returned
-// error is a resume mismatch: a journal recorded under a different
-// target, workload or injection mode.
+// campaign continues from the first unexplored leaf. The returned
+// errors are an unstamped tree and a resume mismatch: a journal
+// recorded under a different target, workload or injection mode.
 func injectAll(app harness.Application, w workload.Workload, tree *fpt.Tree,
 	cfg Config, rep *report.Report, res *Result, deadline time.Time,
 	ckpts *pmem.CheckpointStore) (timedOut bool, err error) {
 
 	sb := cfg.sandbox(deadline)
-	// One verdict cache per campaign: application, workload and recovery
+	tree.Freeze()
+	plan, err := buildClassPlan(tree)
+	if err != nil {
+		return false, err
+	}
+	res.EquivClasses = plan.classes
+	// One verdict table per campaign: application, workload and recovery
 	// configuration are fixed here, so entries are keyed by image
-	// identity alone. The cache is shared across parallel workers in
-	// both modes.
-	cache := newImageCache(cfg.imageCacheCapacity())
-	if cache != nil && len(cfg.WarmVerdicts) > 0 {
-		// Warm the cache from the cross-run verdict-cache file before
-		// anything consults it; the entries are marked so hits on them
-		// are attributed to the persistent cache.
-		cache.seedPersistent(cfg.WarmVerdicts)
+	// identity alone. Cross-run entries load first, so hits on them are
+	// attributed to the persistent cache; a resumed snapshot's follow.
+	table := newVerdictTable()
+	table.load(cfg.WarmVerdicts, true)
+	if cfg.Resume != nil {
+		table.load(cfg.Resume.Cache, false)
 	}
 	defer func() {
-		if cache != nil {
-			res.ImageCacheEntries = cache.Len()
-			if cfg.PersistVerdicts {
-				res.VerdictCache = cache.export()
-			}
+		res.ImageCacheEntries = table.Len()
+		if cfg.PersistVerdicts {
+			res.VerdictCache = table.export()
 		}
 	}()
 
-	tree.Freeze()
 	cs := fpt.NewClaimSet(tree)
 	res.Claims = cs
 	mode := cfg.campaignMode()
 	m := &mergeState{
 		mode: mode, cfg: cfg, rep: rep, res: res,
-		tree: tree, cs: cs, cache: cache,
+		tree: tree, cs: cs, table: table,
 		journal: cfg.Journal, snapEvery: cfg.snapshotEvery(),
+		plan: plan, classes: make(map[imageKey]*classVerdict, plan.classes),
+		persistent: len(cfg.WarmVerdicts) > 0 || cfg.PersistVerdicts,
 	}
 	m.replayer = func(leaf *fpt.Leaf) replayOutcome {
-		return replayLeafWithRetry(app, w, leaf, tree.Stacks(), mode, sb, cache, ckpts)
-	}
-	m.persistent = len(cfg.WarmVerdicts) > 0 || cfg.PersistVerdicts
-	if cfg.Classing {
-		// The plan is built from the frozen tree's phase-1 stamps and is
-		// nil — classing silently off — when any leaf is unstamped (e.g.
-		// a tree artifact recorded before stamping existed).
-		if m.plan = buildClassPlan(tree); m.plan != nil {
-			m.classes = make(map[imageKey]*classVerdict, m.plan.classes)
-			res.EquivClasses = m.plan.classes
-		}
+		return retryLeaf(sb, func() replayOutcome {
+			return replayLeaf(app, w, leaf, tree.Stacks(), mode, sb, table, ckpts)
+		})
 	}
 	start := time.Now()
 	defer func() {
@@ -275,13 +266,8 @@ func injectAll(app harness.Application, w workload.Workload, tree *fpt.Tree,
 	defer m.finalSnapshot()
 
 	if cfg.Resume != nil {
-		// Seed the verdict cache from the snapshot (oldest first, so
-		// recency — and therefore eviction — carries over), then fold
-		// the journaled verdicts. Claims must be marked before the
+		// Fold the journaled verdicts. Claims must be marked before the
 		// ClaimSet builds its pending snapshot below.
-		if cache != nil {
-			cache.seed(cfg.Resume.Cache)
-		}
 		aborted, err := m.fold(cfg.Resume)
 		if err != nil {
 			return false, err
@@ -303,10 +289,7 @@ func injectAll(app harness.Application, w workload.Workload, tree *fpt.Tree,
 		workers = 1
 	}
 	res.CampaignWorkers = workers
-	if workers > 1 {
-		return injectParallel(app, w, cs, tree.Stacks(), mode, m, sb, cache, ckpts, workers), nil
-	}
-	return injectSerial(app, w, cs, tree.Stacks(), mode, m, sb, cache, ckpts), nil
+	return injectParallel(cs, m, sb, workers), nil
 }
 
 // replayOutcome is the result of replaying one leaf on a private engine.
@@ -348,22 +331,21 @@ type replayOutcome struct {
 	// recoveryHung marks an injected replay whose recovery the
 	// watchdog classified as non-terminating.
 	recoveryHung bool
-	// cacheHit and cacheMiss record the verdict-cache consultation of a
-	// recovered replay: a hit delivered a memoised verdict without
-	// running recovery, a miss ran the oracle and populated the cache.
-	// Both are false when caching is disabled.
+	// cacheHit and cacheMiss record the verdict-table consultation of a
+	// recovered replay: a hit delivered a stored verdict without running
+	// recovery, a miss ran the oracle and stored its verdict.
 	cacheHit  bool
 	cacheMiss bool
 	// inherited marks a class member that never replayed: it inherited
 	// its crash-image equivalence class's verdict (classing.go).
 	// replayElided marks a class representative whose replay was skipped
-	// because its stamped image key was already in the verdict cache;
+	// because its stamped image key was already in the verdict table;
 	// persistentHit narrows a cache hit to entries seeded from a
 	// cross-run verdict-cache file.
 	inherited     bool
 	replayElided  bool
 	persistentHit bool
-	// pendingInherit is the parallel workers' placeholder for a class
+	// pendingInherit is the campaign workers' placeholder for a class
 	// member: the merge loop resolves it (mergeState.dispatch) once the
 	// member's representative has been merged. Never consumed or
 	// journaled.
@@ -377,69 +359,50 @@ type replayOutcome struct {
 	finding *report.Finding
 }
 
-// replayFuel bounds one counter-mode replay. The replay crashes at
-// exactly leaf.FirstICount events when the target is deterministic, so
-// the slack-padded counter is a far tighter (and still deterministic)
-// budget than the campaign-wide one. The sum saturates at MaxUint64
-// instead of wrapping: a wrapped (tiny) fuel value would kill a healthy
-// replay long before its failure point and misreport it as a hang. The
-// campaign budget caps the fuel only when it still lets the replay
-// reach its counter — a budget at or below FirstICount can never
-// produce anything but that same phantom hang.
-func replayFuel(budget, firstICount uint64) uint64 {
-	fuel := firstICount + replayFuelSlack
-	if fuel < firstICount { // overflow: saturate
-		fuel = math.MaxUint64
-	}
-	if budget != 0 && budget > firstICount && budget < fuel {
-		return budget
-	}
-	return fuel
-}
-
-// replayLeaf runs one fault injection: a fresh execution crashed at the
-// leaf's failure point, followed by the recovery oracle over the
-// graceful-crash image (§4.1). In counter mode the engine crashes
-// itself at the recorded instruction counter (§5's minimal
-// instrumentation, no hook at all); in stack mode a private targeted
-// injector crashes the run at the first event whose call stack matches
-// the leaf's. It is safe to call concurrently for different leaves: the
-// engine, the injector, the crash image and the oracle's recovery engine
-// are all private to the call, the tree is frozen, and the shared
-// verdict cache is concurrency-safe.
+// replayLeaf runs one fault injection: the engine state at the leaf's
+// failure point, followed by the recovery oracle over the
+// graceful-crash image (§4.1). Counter mode restores that state from
+// the instrumented run's checkpoints (replayCheckpointed) and runs no
+// application code; stack mode re-executes the workload with a private
+// targeted injector that crashes the run at the first event whose call
+// stack matches the leaf's. It is safe to call concurrently for
+// different leaves: the engine, the injector, the crash image and the
+// oracle's recovery engine are all private to the call, the tree and
+// the checkpoint store are read-only, and the shared verdict table is
+// concurrency-safe.
 func replayLeaf(app harness.Application, w workload.Workload, leaf *fpt.Leaf,
-	stacks *stack.Table, mode campaignMode, sb sandboxCfg, cache *imageCache,
+	stacks *stack.Table, mode campaignMode, sb sandboxCfg, table *verdictTable,
 	ckpts *pmem.CheckpointStore) replayOutcome {
 
-	if !mode.stack && ckpts != nil {
-		return replayCheckpointed(app, leaf, sb, cache, ckpts)
+	if !mode.stack {
+		return replayCheckpointed(app, leaf, sb, table, ckpts)
 	}
-	out := replayOutcome{executed: true}
 	opts := pmem.Options{Capture: mode.capture, Stacks: stacks}
-	var hooks []pmem.Hook
-	if mode.stack {
-		hooks = append(hooks, &fpt.Injector{Target: leaf, Granularity: mode.gran})
-	} else {
-		opts.CrashAt = leaf.FirstICount
-	}
 	if !sb.disabled {
-		if mode.stack {
-			// A stack-mode replay has no deterministic crash counter to
-			// bound it by, so it gets the full campaign fuel budget.
-			opts.MaxEvents = sb.budget
-		} else {
-			opts.MaxEvents = replayFuel(sb.budget, leaf.FirstICount)
-		}
+		// A stack-mode replay has no deterministic crash counter to
+		// bound it by, so it gets the full campaign fuel budget.
+		opts.MaxEvents = sb.budget
 		opts.Deadline = sb.deadline
 	}
-	eng, sres := execute(app, w, opts, sb, hooks...)
-	out.events = eng.Events()
+	eng, sres := execute(app, w, opts, sb, &fpt.Injector{Target: leaf, Granularity: mode.gran})
+	out := executedOutcome(eng, sres, leaf, "failure-point call stack never re-encountered on replay")
+	if out.injected {
+		finishInjected(app, eng, leaf, sres.Sig.ICount, sb, table, &out)
+	}
+	return out
+}
+
+// executedOutcome classifies a replay that re-executed the workload:
+// it failed before the failure point, the sandbox stopped it (target
+// panic, fuel budget, campaign deadline), it finished without reaching
+// the failure point (missed says how), or it crashed there (injected).
+func executedOutcome(eng *pmem.Engine, sres harness.Outcome, leaf *fpt.Leaf, missed string) replayOutcome {
+	out := replayOutcome{executed: true, events: eng.Events()}
 	switch {
 	case sres.Err != nil:
 		// The workload failed before the failure point — the run
 		// diverged (should not happen with deterministic targets).
 		out.skipReason = fmt.Sprintf("replay failed before the failure point: %v", sres.Err)
-		return out
 	case sres.Panic != nil:
 		out.targetPanic = true
 		out.finding = &report.Finding{
@@ -448,12 +411,9 @@ func replayLeaf(app harness.Application, w workload.Workload, leaf *fpt.Leaf,
 			Stack:  leaf.Stack,
 			Detail: panicDetail(replayDuring, sres.Panic),
 		}
-		return out
+	case sres.Hang != nil && sres.Hang.Deadline:
+		out.deadlineHit = true
 	case sres.Hang != nil:
-		if sres.Hang.Deadline {
-			out.deadlineHit = true
-			return out
-		}
 		out.targetHang = true
 		out.finding = &report.Finding{
 			Kind:   report.TargetCrash,
@@ -461,31 +421,25 @@ func replayLeaf(app harness.Application, w workload.Workload, leaf *fpt.Leaf,
 			Stack:  leaf.Stack,
 			Detail: hangDetail(replayDuring, sres.Hang),
 		}
-		return out
 	case sres.Sig == nil:
-		if mode.stack {
-			out.skipReason = "failure-point call stack never re-encountered on replay"
-		} else {
-			out.skipReason = "target instruction counter never reached on replay"
-		}
-		return out
+		out.skipReason = missed
+	default:
+		out.injected = true
 	}
-	out.injected = true
-	finishInjected(app, eng, leaf, sres.Sig.ICount, sb, cache, &out)
 	return out
 }
 
-// replayCheckpointed is the counter-mode fast path: instead of
+// replayCheckpointed is the counter-mode replay: instead of
 // re-executing the workload up to the failure point, it restores engine
 // state from the recorded run's nearest checkpoint below the leaf's
 // counter and applies only the mutation-log gap — O(gap since
 // checkpoint) instead of O(prefix), with no application code at all.
-// The restored engine is byte-identical to a from-scratch replay
+// The restored engine is byte-identical to a from-scratch execution
 // crashed at the same counter (checkpoint.go), so the crash image, the
-// verdict-cache key and the resulting findings are exactly those of the
-// legacy path.
+// verdict-table key and the resulting findings are exactly those of the
+// re-executing reference campaign.
 func replayCheckpointed(app harness.Application, leaf *fpt.Leaf,
-	sb sandboxCfg, cache *imageCache, ckpts *pmem.CheckpointStore) replayOutcome {
+	sb sandboxCfg, table *verdictTable, ckpts *pmem.CheckpointStore) replayOutcome {
 
 	out := replayOutcome{executed: true}
 	deadline := sb.deadline
@@ -501,64 +455,59 @@ func replayCheckpointed(app harness.Application, leaf *fpt.Leaf,
 		// The recorded run's log ends before this counter. It cannot
 		// happen for leaves of the tree that same run built (every
 		// failure point is a logged persistency event), but stays an
-		// honest per-leaf skip, with the same wording as a from-scratch
-		// replay that fell short.
+		// honest per-leaf skip.
 		out.skipReason = "target instruction counter never reached on replay"
 		return out
 	}
 	// The gap is the deterministic measure of replayed work, mirroring
-	// the instruction events a from-scratch replay would have spent on
-	// the same stretch.
+	// the instruction events a from-scratch execution would have spent
+	// on the same stretch.
 	out.events = gap
 	out.restored = true
 	out.injected = true
-	finishInjected(app, eng, leaf, leaf.FirstICount, sb, cache, &out)
+	finishInjected(app, eng, leaf, leaf.FirstICount, sb, table, &out)
 	return out
 }
 
 // finishInjected runs the oracle tail shared by every injected replay:
 // the vanilla, uninstrumented recovery procedure over the
 // graceful-crash image (§4.1), bounded by the hang watchdog. The
-// verdict cache is consulted first: when an identical image was already
-// checked, the memoised verdict stands in for the recovery run and the
+// verdict table is consulted first: when an identical image was already
+// checked, the stored verdict stands in for the recovery run and the
 // image is never even materialised.
 func finishInjected(app harness.Application, eng *pmem.Engine, leaf *fpt.Leaf,
-	icount uint64, sb sandboxCfg, cache *imageCache, out *replayOutcome) {
+	icount uint64, sb sandboxCfg, table *verdictTable, out *replayOutcome) {
 
-	check, ddl, hit, seeded := cachedCheck(app, eng, sb, cache)
+	check, ddl, hit, seeded := cachedCheck(app, eng, sb, table)
 	if ddl {
 		out.deadlineHit = true
 		return
 	}
 	out.recovered = true
 	out.cacheHit = hit
-	out.cacheMiss = cache != nil && !hit
+	out.cacheMiss = !hit
 	out.persistentHit = seeded
-	// Record the hash whether or not the in-memory cache is enabled: the
-	// journaled hash also feeds cross-shard dedup and the persistent
-	// verdict cache, neither of which should depend on the local cache
-	// flag. The incremental hash is O(changed lines) — no image walk.
+	// The journaled hash also feeds cross-shard dedup and the persistent
+	// verdict cache. The incremental hash is O(changed lines) — no image
+	// walk.
 	out.imageHash = eng.PrefixImageHash()
 	applyVerdict(check, icount, leaf.Stack, out)
 }
 
-// replayLeafWithRetry replays a leaf, retrying a bounded number of times
+// retryLeaf runs one leaf's replay, retrying a bounded number of times
 // (with a small backoff) when the replay is consumed by a transient
 // skip. Panics, hangs and deadline cuts are never retried: the first is
 // already a finding, the others would only burn the remaining budget.
-// The retry policy is mode-agnostic: both campaigns share it, so a
-// flaky replay costs the same bounded tolerance either way.
-func replayLeafWithRetry(app harness.Application, w workload.Workload, leaf *fpt.Leaf,
-	stacks *stack.Table, mode campaignMode, sb sandboxCfg, cache *imageCache,
-	ckpts *pmem.CheckpointStore) replayOutcome {
-
-	out := replayLeaf(app, w, leaf, stacks, mode, sb, cache, ckpts)
+// The retry policy is mode-agnostic, so a flaky replay costs the same
+// bounded tolerance in either mode.
+func retryLeaf(sb sandboxCfg, replay func() replayOutcome) replayOutcome {
+	out := replay()
 	for attempt := 1; attempt <= maxLeafRetries && out.skipReason != ""; attempt++ {
 		if !sb.deadline.IsZero() && !time.Now().Before(sb.deadline) {
 			break
 		}
 		time.Sleep(time.Duration(attempt) * retryBackoff)
-		next := replayLeaf(app, w, leaf, stacks, mode, sb, cache, ckpts)
+		next := replay()
 		next.events += out.events
 		next.retries = out.retries + 1
 		out = next
@@ -567,14 +516,14 @@ func replayLeafWithRetry(app harness.Application, w workload.Workload, leaf *fpt
 }
 
 // consumeOutcome folds one leaf's replay outcome into the shared result
-// and report. The leaf was already claimed when it was handed out; both
-// the serial and the parallel campaign call this in FirstICount order,
-// so the merged report is byte-identical regardless of scheduling.
+// and report. The leaf was already claimed when it was handed out; the
+// merge loop calls this in FirstICount order, so the merged report is
+// byte-identical regardless of scheduling.
 func consumeOutcome(leaf *fpt.Leaf, out replayOutcome, rep *report.Report, res *Result) {
 	res.EngineEvents += out.events
 	res.RetriedFailurePoints += out.retries
 	if out.skipReason != "" {
-		// Every retry was spent (replayLeafWithRetry consumed them
+		// Every retry was spent (retryLeaf consumed them
 		// before this outcome surfaced): the leaf is quarantined — set
 		// aside with its reason in the report's QuarantinedLeaves
 		// section — rather than aborting the campaign or vanishing into
@@ -637,8 +586,8 @@ func consumeOutcome(leaf *fpt.Leaf, out replayOutcome, rep *report.Report, res *
 	}
 }
 
-// mergeState is the deterministic folding step shared by the serial and
-// parallel drivers: it consumes outcomes strictly in leaf FirstICount
+// mergeState is the campaign's deterministic folding step: it consumes
+// outcomes strictly in leaf FirstICount
 // order and decides, in that same order, when the campaign stops — the
 // MaxFailurePoints cap, and stack mode's no-progress abort. It also
 // owns the campaign journal: every consumed outcome is durably appended
@@ -653,7 +602,7 @@ type mergeState struct {
 
 	tree  *fpt.Tree
 	cs    *fpt.ClaimSet
-	cache *imageCache
+	table *verdictTable
 
 	// journal receives one record per consumed leaf; nil when
 	// journaling is off (or degraded after a write error). snapEvery
@@ -667,13 +616,13 @@ type mergeState struct {
 	consumed  int
 	folding   bool
 
-	// plan groups leaves into crash-image equivalence classes (nil when
-	// classing is off or the tree is unstamped); classes accumulates the
-	// per-class verdict templates as representatives are merged, and is
-	// only ever touched by the merge goroutine. replayer runs one live
-	// replay (the campaign's replayLeafWithRetry closed over its shared
-	// state); persistent marks that a cross-run verdict-cache file is in
-	// play, so misses are worth counting against it.
+	// plan groups leaves into crash-image equivalence classes; classes
+	// accumulates the per-class verdict templates as representatives are
+	// merged, and is only ever touched by the merge goroutine. replayer
+	// runs one live replay (retryLeaf over replayLeaf, closed over the
+	// campaign's shared state); persistent marks that a cross-run
+	// verdict-cache file is in play, so misses are worth counting
+	// against it.
 	plan       *classPlan
 	classes    map[imageKey]*classVerdict
 	replayer   func(*fpt.Leaf) replayOutcome
@@ -700,7 +649,7 @@ func (m *mergeState) consume(leaf *fpt.Leaf, out replayOutcome) (abort bool) {
 	if m.persistent && out.cacheMiss {
 		m.res.PersistentCacheMisses++
 	}
-	if m.plan != nil && out.injected && out.recovered {
+	if out.injected && out.recovered {
 		// Capture the class verdict template from the first judged
 		// outcome of each class — normally the representative, or a
 		// fallen-back member when the representative was quarantined.
@@ -728,50 +677,6 @@ func (m *mergeState) consume(leaf *fpt.Leaf, out replayOutcome) (abort bool) {
 		return true
 	}
 	return false
-}
-
-// injectSerial replays the pending leaves one at a time in FirstICount
-// order. It is the Workers<=1 path and the reference order the parallel
-// campaign reproduces, for both injection modes. The campaign deadline
-// is honoured mid-replay: the replay engine carries it as a wall-clock
-// watchdog, so a single long replay can no longer overshoot the budget
-// arbitrarily. A graceful-interruption request is honoured between
-// leaves: the in-flight replay drains, its outcome is consumed and
-// journaled, and the campaign stops with the remaining failure points
-// unexplored (and unclaimed, so a resume picks them up).
-func injectSerial(app harness.Application, w workload.Workload, cs *fpt.ClaimSet,
-	stacks *stack.Table, mode campaignMode, m *mergeState,
-	sb sandboxCfg, cache *imageCache, ckpts *pmem.CheckpointStore) (timedOut bool) {
-
-	res := m.res
-	for {
-		if sb.interrupted() {
-			res.Interrupted = true
-			return false
-		}
-		if !sb.deadline.IsZero() && time.Now().After(sb.deadline) {
-			return true
-		}
-		if m.capped() {
-			return false
-		}
-		_, leaf := cs.Next()
-		if leaf == nil {
-			return false
-		}
-		t0 := time.Now()
-		out := m.dispatch(leaf)
-		res.WorkerBusy += time.Since(t0)
-		if out.deadlineHit {
-			// The mid-replay watchdog cut the replay short: the failure
-			// point stays unexplored, so hand its claim back.
-			cs.Release(leaf)
-			return true
-		}
-		if m.consume(leaf, out) {
-			return false
-		}
-	}
 }
 
 // truncate shortens s to at most n bytes, backing off to the previous

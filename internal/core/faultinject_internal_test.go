@@ -27,21 +27,24 @@ func (failingApp) Setup(e *pmem.Engine) error {
 }
 
 // buildTree runs the phase-1 instrumented execution and returns the
-// failure point tree, mirroring what Analyze does before injection.
-func buildTree(t *testing.T, app harness.Application, w workload.Workload) (*fpt.Tree, *stack.Table) {
+// stamped failure point tree and the checkpoint store, mirroring what
+// Analyze does before injection.
+func buildTree(t *testing.T, app harness.Application, w workload.Workload) (*fpt.Tree, *stack.Table, *pmem.CheckpointStore) {
 	t.Helper()
 	stacks := stack.NewTable()
 	tree := fpt.New(stacks)
 	builder := fpt.NewBuilder(tree, fpt.GranPersistency)
-	_, sig, err := harness.Execute(app, w,
-		pmem.Options{Capture: pmem.CapturePersistency, Stacks: stacks}, builder)
+	eng, sig, err := harness.Execute(app, w, pmem.Options{
+		Capture: pmem.CapturePersistency, Stacks: stacks,
+		TrackPrefixHash: true, CheckpointEvery: DefaultCheckpointInterval,
+	}, builder)
 	if err != nil || sig != nil {
 		t.Fatalf("instrumented run: err=%v sig=%v", err, sig)
 	}
 	if tree.Len() == 0 {
 		t.Fatal("instrumented run produced no failure points")
 	}
-	return tree, stacks
+	return tree, stacks, eng.Checkpoints()
 }
 
 func testTarget() harness.Application {
@@ -58,15 +61,18 @@ func testWorkload() workload.Workload {
 // skipped instead of silently dropping it.
 func TestCounterModeCountsUnreachedCounter(t *testing.T) {
 	app, w := testTarget(), testWorkload()
-	tree, stacks := buildTree(t, app, w)
+	tree, stacks, ckpts := buildTree(t, app, w)
 	fake := stacks.Intern([]uintptr{0xdead})
-	if _, added := tree.Insert(fake, 1<<40); !added {
+	leaf, added := tree.Insert(fake, 1<<40)
+	if !added {
 		t.Fatal("unreachable leaf not inserted")
 	}
+	// A class of its own: no recorded image carries this stamp.
+	leaf.ImageHash, leaf.ImageSize = 0xdead, 1
 
 	rep := &report.Report{Target: "test", Tool: "test", Stacks: stacks}
 	res := &Result{Report: rep}
-	timedOut, err := injectAll(app, w, tree, Config{}, rep, res, time.Time{}, nil)
+	timedOut, err := injectAll(app, w, tree, Config{}, rep, res, time.Time{}, ckpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,17 +93,18 @@ func TestCounterModeCountsUnreachedCounter(t *testing.T) {
 	}
 }
 
-// TestCounterModeCountsFailedReplays drives the campaign with a target
-// whose replays deterministically error: every leaf must be consumed and
-// counted as skipped — serially and in parallel, with identical totals.
-func TestCounterModeCountsFailedReplays(t *testing.T) {
+// TestStackModeCountsFailedReplays drives the campaign with a target
+// whose replays deterministically error: every consumed leaf must be
+// counted as skipped until the no-progress abort, with identical totals
+// for one worker and four.
+func TestStackModeCountsFailedReplays(t *testing.T) {
 	app, w := testTarget(), testWorkload()
 	for _, workers := range []int{0, 4} {
-		tree, stacks := buildTree(t, app, w)
+		tree, stacks, _ := buildTree(t, app, w)
 		rep := &report.Report{Target: "test", Tool: "test", Stacks: stacks}
 		res := &Result{Report: rep}
 		bad := failingApp{app}
-		timedOut, err := injectAll(bad, w, tree, Config{Workers: workers}, rep, res, time.Time{}, nil)
+		timedOut, err := injectAll(bad, w, tree, Config{StackMode: true, Workers: workers}, rep, res, time.Time{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,8 +114,12 @@ func TestCounterModeCountsFailedReplays(t *testing.T) {
 		if res.Injections != 0 || res.Recoveries != 0 {
 			t.Fatalf("workers=%d: Injections=%d Recoveries=%d, want 0/0", workers, res.Injections, res.Recoveries)
 		}
-		if res.SkippedFailurePoints != tree.Len() {
-			t.Fatalf("workers=%d: SkippedFailurePoints = %d, want %d", workers, res.SkippedFailurePoints, tree.Len())
+		if res.SkippedFailurePoints != maxNoProgress || !res.InjectionAborted {
+			t.Fatalf("workers=%d: SkippedFailurePoints = %d aborted=%v, want %d and an abort",
+				workers, res.SkippedFailurePoints, res.InjectionAborted, maxNoProgress)
+		}
+		if got, want := res.Claims.Remaining(), tree.Len()-maxNoProgress; got != want {
+			t.Fatalf("workers=%d: %d leaves left unclaimed, want %d", workers, got, want)
 		}
 		if len(res.InjectionErrors) == 0 || len(res.InjectionErrors) > maxInjectionErrors {
 			t.Fatalf("workers=%d: InjectionErrors has %d entries, want 1..%d",
@@ -124,7 +135,7 @@ func TestCounterModeCountsFailedReplays(t *testing.T) {
 // error.
 func TestStackModeAbortsAfterNoProgress(t *testing.T) {
 	app, w := testTarget(), testWorkload()
-	tree, stacks := buildTree(t, app, w)
+	tree, stacks, _ := buildTree(t, app, w)
 	rep := &report.Report{Target: "test", Tool: "test", Stacks: stacks}
 	res := &Result{Report: rep}
 	bad := failingApp{app}

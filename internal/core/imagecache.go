@@ -1,26 +1,27 @@
-// Crash-image verdict cache.
+// Crash-image verdict table.
 //
 // The graceful-crash image of a counter-mode leaf changes only when the
 // program-order prefix gains a store: leaves separated by nothing but
 // flushes, fences and loads materialise byte-identical images, and the
 // deterministic recovery oracle necessarily returns the same verdict
-// for all of them. The campaign therefore memoises verdicts by image
-// content: before sandboxing a recovery it asks the engine for the
-// incrementally maintained image hash (O(changed lines), no
-// materialisation) and, on a hit, skips both the full-pool image copy
-// and the recovery run entirely.
+// for all of them. The campaign therefore keys verdicts by image
+// content: phase-1 classing (classing.go) groups leaves by their
+// stamped key so only one representative per class replays, and every
+// live replay consults the table with the incrementally maintained
+// image hash (O(changed lines), no materialisation) before running
+// recovery.
 //
-// One cache is created per campaign in injectAll, so the application,
+// One table is created per campaign in injectAll, so the application,
 // workload and recovery configuration are fixed for the lifetime of
-// every entry — the key only needs the image identity. The cache is
-// shared across the parallel campaign's workers and is bounded: least
-// recently used verdicts are evicted once the configured capacity is
-// exceeded, keeping memory proportional to the working set of distinct
-// crash states rather than to campaign length.
+// every entry — the key only needs the image identity. The table is
+// shared across the campaign's workers, and it is also what journal
+// snapshots, resume and the cross-run verdict-cache file read and
+// write. It needs no eviction: a campaign stores at most one entry per
+// equivalence class, plus the entries it was warmed with.
 package core
 
 import (
-	"container/list"
+	"sort"
 	"sync"
 
 	"mumak/internal/campaign"
@@ -29,9 +30,9 @@ import (
 	"mumak/internal/pmem"
 )
 
-// DefaultImageCacheSize is the verdict-cache capacity used when
-// Config.ImageCacheSize is zero. Entries hold a detached oracle outcome
-// (a few hundred bytes at worst), so the default is generous.
+// DefaultImageCacheSize was the capacity of the bounded verdict cache.
+//
+// Deprecated: the verdict table is unbounded; nothing reads this.
 const DefaultImageCacheSize = 4096
 
 // imageKey identifies a crash image by content. The hash is the
@@ -44,157 +45,103 @@ type imageKey struct {
 	size int
 }
 
-// imageCache is a bounded, concurrency-safe LRU map from crash-image
+// verdictTable is the campaign's concurrency-safe map from crash-image
 // identity to the oracle verdict the image produced.
-type imageCache struct {
-	mu       sync.Mutex
-	capacity int
-	entries  map[imageKey]*list.Element
-	order    *list.List // front = most recently used
+type verdictTable struct {
+	mu      sync.Mutex
+	entries map[imageKey]verdictEntry
 }
 
-type imageCacheEntry struct {
-	key imageKey
+type verdictEntry struct {
 	out oracle.Outcome
 	// seeded marks an entry warmed from a cross-run verdict-cache file
-	// (never one computed or snapshot-seeded this campaign), so hits on
+	// (never one computed or snapshot-loaded this campaign), so hits on
 	// it can be attributed to the persistent cache.
 	seeded bool
 }
 
-// newImageCache returns a cache bounded to capacity entries, or nil
-// (caching disabled) when capacity is not positive.
-func newImageCache(capacity int) *imageCache {
-	if capacity <= 0 {
-		return nil
-	}
-	return &imageCache{
-		capacity: capacity,
-		entries:  make(map[imageKey]*list.Element),
-		order:    list.New(),
+func newVerdictTable() *verdictTable {
+	return &verdictTable{entries: make(map[imageKey]verdictEntry)}
+}
+
+// lookup returns the stored verdict for the key. The second return
+// reports whether the entry came from a persistent cross-run cache
+// file.
+func (t *verdictTable) lookup(k imageKey) (oracle.Outcome, bool, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	e, ok := t.entries[k]
+	return e.out, e.seeded, ok
+}
+
+// put stores a verdict unless the key already has one: the first
+// verdict wins (a racing worker or a later warm source carries the same
+// verdict for a deterministic target anyway). Callers must store
+// detached outcomes only (no retained recovery engine).
+func (t *verdictTable) put(k imageKey, out oracle.Outcome, seeded bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if _, ok := t.entries[k]; !ok {
+		t.entries[k] = verdictEntry{out: out, seeded: seeded}
 	}
 }
 
-// lookup returns the memoised verdict for the key, refreshing its
-// recency on a hit. The second return reports whether the entry came
-// from a persistent cross-run cache file.
-func (c *imageCache) lookup(k imageKey) (oracle.Outcome, bool, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[k]
-	if !ok {
-		return oracle.Outcome{}, false, false
+// load stores exported entries: a snapshot's (resume) or a cross-run
+// verdict-cache file's (seeded). Verdicts are keyed by image content
+// and the target is deterministic, so entries from a previous process
+// are as valid as locally computed ones.
+func (t *verdictTable) load(entries []campaign.CacheEntry, seeded bool) {
+	for _, e := range entries {
+		k, out := decodeCacheEntry(e)
+		t.put(k, out, seeded)
 	}
-	c.order.MoveToFront(el)
-	e := el.Value.(*imageCacheEntry)
-	return e.out, e.seeded, true
 }
 
-// store memoises a verdict, evicting the least recently used entry when
-// the cache is full. Callers must store detached outcomes only (no
-// retained recovery engine).
-func (c *imageCache) store(k imageKey, out oracle.Outcome) {
-	c.storeEntry(k, out, false)
+// Len returns the number of stored verdicts.
+func (t *verdictTable) Len() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.entries)
 }
 
-func (c *imageCache) storeEntry(k imageKey, out oracle.Outcome, seeded bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[k]; ok {
-		// A parallel worker raced us to the same image; keep the first
-		// verdict (deterministic targets produce the same one anyway).
-		c.order.MoveToFront(el)
-		return
+// export flattens every stored verdict, sorted by (hash, size) so a
+// snapshot or verdict-cache file does not depend on which worker judged
+// which image first.
+func (t *verdictTable) export() []campaign.CacheEntry {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := make([]campaign.CacheEntry, 0, len(t.entries))
+	for k, e := range t.entries {
+		out = append(out, encodeCacheEntry(k, e.out))
 	}
-	if c.order.Len() >= c.capacity {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.entries, oldest.Value.(*imageCacheEntry).key)
-	}
-	c.entries[k] = c.order.PushFront(&imageCacheEntry{key: k, out: out, seeded: seeded})
-}
-
-// Len returns the number of cached verdicts.
-func (c *imageCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
-
-// export flattens every cached verdict for a campaign snapshot, least
-// recently used first, so that seeding a fresh cache in export order
-// reproduces the recency ranking (and therefore future evictions).
-func (c *imageCache) export() []campaign.CacheEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]campaign.CacheEntry, 0, c.order.Len())
-	for el := c.order.Back(); el != nil; el = el.Prev() {
-		e := el.Value.(*imageCacheEntry)
-		out = append(out, encodeCacheEntry(e.key, e.out))
-	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Hash != out[j].Hash {
+			return out[i].Hash < out[j].Hash
+		}
+		return out[i].Size < out[j].Size
+	})
 	return out
 }
 
-// seed warms the cache from a snapshot's exported entries (LRU-first
-// order). Verdicts are keyed by image content and the target is
-// deterministic, so entries from a previous process are as valid as
-// locally computed ones; seeding only saves the resumed campaign from
-// re-running recoveries the crashed run already paid for.
-func (c *imageCache) seed(entries []campaign.CacheEntry) {
-	for _, e := range entries {
-		k, out := decodeCacheEntry(e)
-		c.store(k, out)
-	}
-}
-
-// seedPersistent warms the cache from a cross-run verdict-cache file
-// (campaign.LoadVerdictCache), marking every entry so later hits are
-// attributed to the persistent cache. Identity was already pinned by
-// the file's Meta check, and verdicts are keyed by image content, so a
-// previous run's verdict is exactly this run's verdict.
-func (c *imageCache) seedPersistent(entries []campaign.CacheEntry) {
-	for _, e := range entries {
-		k, out := decodeCacheEntry(e)
-		c.storeEntry(k, out, true)
-	}
-}
-
-// imageCacheCapacity resolves the configured capacity: zero selects the
-// default, negative disables caching.
-func (cfg Config) imageCacheCapacity() int {
-	switch {
-	case cfg.ImageCacheSize < 0:
-		return 0
-	case cfg.ImageCacheSize == 0:
-		return DefaultImageCacheSize
-	default:
-		return cfg.ImageCacheSize
-	}
-}
-
 // cachedCheck runs the recovery oracle over the engine's graceful-crash
-// image, consulting the verdict cache first. On a hit the image is
-// never materialised and no recovery runs — the memoised outcome is
+// image, consulting the verdict table first. On a hit the image is
+// never materialised and no recovery runs — the stored outcome is
 // returned as-is. On a miss the oracle runs under the campaign
-// watchdogs and the verdict is cached, unless the campaign deadline cut
+// watchdogs and the verdict is stored, unless the campaign deadline cut
 // the check short: a deadline-cut outcome reflects the remaining
-// budget, not the image, and must never be replayed from the cache.
+// budget, not the image, and must never be replayed from the table.
 // persistent narrows a hit to entries seeded from a cross-run
 // verdict-cache file.
 func cachedCheck(app harness.Application, eng *pmem.Engine, sb sandboxCfg,
-	cache *imageCache) (out oracle.Outcome, deadlineHit, hit, persistent bool) {
+	table *verdictTable) (out oracle.Outcome, deadlineHit, hit, persistent bool) {
 
-	if cache == nil {
-		out, deadlineHit = boundedCheck(app, eng.PrefixImage(), sb)
-		return out, deadlineHit, false, false
-	}
 	key := imageKey{hash: eng.PrefixImageHash(), size: eng.Size()}
-	if out, seeded, ok := cache.lookup(key); ok {
+	if out, seeded, ok := table.lookup(key); ok {
 		return out, false, true, seeded
 	}
 	out, deadlineHit = boundedCheck(app, eng.PrefixImage(), sb)
 	if !deadlineHit {
-		cache.store(key, out.Detached())
+		table.put(key, out.Detached(), false)
 	}
 	return out, deadlineHit, false, false
 }

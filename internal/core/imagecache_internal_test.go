@@ -10,46 +10,24 @@ import (
 
 func key(h uint64) imageKey { return imageKey{hash: h, size: 1 << 16} }
 
-func TestImageCacheLRUEviction(t *testing.T) {
-	c := newImageCache(2)
-	c.store(key(1), oracle.Outcome{Verdict: oracle.Consistent})
-	c.store(key(2), oracle.Outcome{Verdict: oracle.Unrecoverable})
-	// Refresh 1, insert 3: 2 is now the least recently used and must go.
-	if _, _, ok := c.lookup(key(1)); !ok {
-		t.Fatal("entry 1 missing before eviction")
-	}
-	c.store(key(3), oracle.Outcome{Verdict: oracle.Crashed})
-	if _, _, ok := c.lookup(key(2)); ok {
-		t.Error("least recently used entry survived eviction")
-	}
-	if _, _, ok := c.lookup(key(1)); !ok {
-		t.Error("recently used entry was evicted")
-	}
-	if out, _, ok := c.lookup(key(3)); !ok || out.Verdict != oracle.Crashed {
-		t.Errorf("newest entry lookup = (%v, %v), want Crashed verdict", out.Verdict, ok)
-	}
-	if c.Len() != 2 {
-		t.Errorf("Len = %d, want capacity 2", c.Len())
-	}
-}
-
 func TestImageCacheFirstVerdictWins(t *testing.T) {
-	c := newImageCache(4)
-	c.store(key(9), oracle.Outcome{Verdict: oracle.Unrecoverable})
-	// A racing worker storing the same key must not clobber the entry.
-	c.store(key(9), oracle.Outcome{Verdict: oracle.Consistent})
-	out, _, ok := c.lookup(key(9))
-	if !ok || out.Verdict != oracle.Unrecoverable {
-		t.Errorf("lookup = (%v, %v), want the first verdict", out.Verdict, ok)
+	c := newVerdictTable()
+	c.put(key(9), oracle.Outcome{Verdict: oracle.Unrecoverable}, false)
+	// A racing worker (or a later warm source) storing the same key
+	// must not clobber the entry.
+	c.put(key(9), oracle.Outcome{Verdict: oracle.Consistent}, true)
+	out, seeded, ok := c.lookup(key(9))
+	if !ok || out.Verdict != oracle.Unrecoverable || seeded {
+		t.Errorf("lookup = (%v, seeded %v, %v), want the first verdict", out.Verdict, seeded, ok)
 	}
 	if c.Len() != 1 {
-		t.Errorf("Len = %d after duplicate store, want 1", c.Len())
+		t.Errorf("Len = %d after duplicate put, want 1", c.Len())
 	}
 }
 
 func TestImageCacheKeyDiscriminates(t *testing.T) {
-	c := newImageCache(8)
-	c.store(imageKey{hash: 5, size: 100}, oracle.Outcome{Verdict: oracle.Crashed})
+	c := newVerdictTable()
+	c.put(imageKey{hash: 5, size: 100}, oracle.Outcome{Verdict: oracle.Crashed}, false)
 	if _, _, ok := c.lookup(imageKey{hash: 5, size: 200}); ok {
 		t.Error("same hash with different pool size hit")
 	}
@@ -58,33 +36,11 @@ func TestImageCacheKeyDiscriminates(t *testing.T) {
 	}
 }
 
-func TestImageCacheDisabled(t *testing.T) {
-	if c := newImageCache(0); c != nil {
-		t.Error("capacity 0 must disable the cache")
-	}
-	if c := newImageCache(-3); c != nil {
-		t.Error("negative capacity must disable the cache")
-	}
-}
-
-func TestImageCacheCapacityConfig(t *testing.T) {
-	cases := []struct{ in, want int }{
-		{0, DefaultImageCacheSize},
-		{-1, 0},
-		{17, 17},
-	}
-	for _, tc := range cases {
-		if got := (Config{ImageCacheSize: tc.in}).imageCacheCapacity(); got != tc.want {
-			t.Errorf("imageCacheCapacity(%d) = %d, want %d", tc.in, got, tc.want)
-		}
-	}
-}
-
-// TestImageCacheConcurrent exercises the cache the way the parallel
-// campaign does: many goroutines looking up and storing overlapping
-// keys while evictions churn the LRU list. Run under -race.
+// TestImageCacheConcurrent exercises the table the way the campaign
+// does: many goroutines looking up and storing overlapping keys. Run
+// under -race.
 func TestImageCacheConcurrent(t *testing.T) {
-	c := newImageCache(16)
+	c := newVerdictTable()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -94,20 +50,27 @@ func TestImageCacheConcurrent(t *testing.T) {
 				k := key(uint64(i % 40))
 				if out, _, ok := c.lookup(k); ok {
 					if out.Err == nil {
-						t.Errorf("goroutine %d: cached outcome lost its error", g)
+						t.Errorf("goroutine %d: stored outcome lost its error", g)
 						return
 					}
 					continue
 				}
-				c.store(k, oracle.Outcome{
+				c.put(k, oracle.Outcome{
 					Verdict: oracle.Unrecoverable,
 					Err:     fmt.Errorf("verdict for image %d", i%40),
-				})
+				}, false)
 			}
 		}(g)
 	}
 	wg.Wait()
-	if n := c.Len(); n > 16 {
-		t.Errorf("Len = %d exceeds capacity 16", n)
+	if n := c.Len(); n != 40 {
+		t.Errorf("Len = %d, want one entry per distinct key (40)", n)
+	}
+	exp := c.export()
+	for i := 1; i < len(exp); i++ {
+		if exp[i-1].Hash > exp[i].Hash ||
+			(exp[i-1].Hash == exp[i].Hash && exp[i-1].Size >= exp[i].Size) {
+			t.Fatalf("export not sorted by (hash, size) at %d", i)
+		}
 	}
 }

@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"bytes"
+	"fmt"
+	"sync"
 	"testing"
 
 	"mumak/internal/apps"
@@ -24,6 +26,32 @@ func renderReport(t *testing.T, rep *report.Report) string {
 		t.Fatal(err)
 	}
 	return rep.Format(true) + "\n--- json ---\n" + buf.String()
+}
+
+// referenceRuns memoises reference campaigns (core.Reference) by
+// fixture name and configuration. The reference re-executes every
+// failure point from scratch, so suites that compare against the same
+// fixture share one run; callers only read the shared result.
+var referenceRuns sync.Map // string -> *referenceRun
+
+type referenceRun struct {
+	once sync.Once
+	res  *core.Result
+	err  error
+}
+
+// analyzeReference returns the reference campaign's result for the
+// named fixture under cfg. name must identify mk and w uniquely.
+func analyzeReference(t *testing.T, name string, mk func() harness.Application,
+	w workload.Workload, cfg core.Config) *core.Result {
+	t.Helper()
+	v, _ := referenceRuns.LoadOrStore(fmt.Sprintf("%s %+v", name, cfg), &referenceRun{})
+	r := v.(*referenceRun)
+	r.once.Do(func() { r.res, r.err = core.Analyze(mk(), w, core.Reference(cfg)) })
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	return r.res
 }
 
 // cacheCases are the differential fixtures: targets with real findings,
@@ -70,50 +98,42 @@ func cacheCases() []struct {
 	}
 }
 
-// TestImageCacheDifferential is the cache's correctness contract: for
-// every fixture, the report of a cached campaign — serial, parallel and
-// capacity-starved — is byte-identical (text and JSON) to an uncached
-// serial run, and the aggregate counters agree. Only the hit/miss split
-// may vary.
+// TestImageCacheDifferential is the verdict table's correctness
+// contract: for every fixture, the report of a campaign with one worker
+// and with four is byte-identical (text and JSON) to the reference
+// campaign, which judges every crash image with its own recovery run,
+// and the table accounts for every delivered verdict.
 func TestImageCacheDifferential(t *testing.T) {
 	for _, tc := range cacheCases() {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			uncached, err := core.Analyze(tc.mk(), tc.w, core.Config{KeepWarnings: true, ImageCacheSize: -1})
-			if err != nil {
-				t.Fatal(err)
+			ref := analyzeReference(t, tc.name, tc.mk, tc.w, core.Config{KeepWarnings: true})
+			if ref.ImageCacheHits != 0 || ref.ImageCacheMisses != 0 || ref.ImageCacheEntries != 0 {
+				t.Fatalf("reference campaign reported verdict-table traffic: %+v", ref)
 			}
-			if uncached.ImageCacheHits != 0 || uncached.ImageCacheMisses != 0 || uncached.ImageCacheEntries != 0 {
-				t.Fatalf("disabled cache reported traffic: %+v", uncached)
-			}
-			want := renderReport(t, uncached.Report)
-			variants := []struct {
-				name string
-				cfg  core.Config
-			}{
-				{"cached-serial", core.Config{KeepWarnings: true}},
-				{"cached-parallel", core.Config{KeepWarnings: true, Workers: 4}},
-				{"cached-capacity-1", core.Config{KeepWarnings: true, ImageCacheSize: 1}},
-			}
-			for _, v := range variants {
-				res, err := core.Analyze(tc.mk(), tc.w, v.cfg)
+			want := renderReport(t, ref.Report)
+			for _, workers := range []int{1, 4} {
+				res, err := core.Analyze(tc.mk(), tc.w, core.Config{KeepWarnings: true, Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
+				label := fmt.Sprintf("workers=%d", workers)
 				if got := renderReport(t, res.Report); got != want {
-					t.Errorf("%s: report differs from uncached serial run\n--- uncached ---\n%s\n--- %s ---\n%s",
-						v.name, want, v.name, got)
+					t.Errorf("%s: report differs from the reference\n--- reference ---\n%s\n--- %s ---\n%s",
+						label, want, label, got)
 				}
-				if res.Injections != uncached.Injections || res.Recoveries != uncached.Recoveries ||
-					res.SkippedFailurePoints != uncached.SkippedFailurePoints ||
-					res.EngineEvents != uncached.EngineEvents {
-					t.Errorf("%s: counters diverge: injections %d/%d recoveries %d/%d skipped %d/%d events %d/%d",
-						v.name, res.Injections, uncached.Injections, res.Recoveries, uncached.Recoveries,
-						res.SkippedFailurePoints, uncached.SkippedFailurePoints, res.EngineEvents, uncached.EngineEvents)
+				if res.Injections != ref.Injections || res.Recoveries+res.InheritedVerdicts != ref.Recoveries ||
+					res.SkippedFailurePoints != ref.SkippedFailurePoints {
+					t.Errorf("%s: counters diverge: injections %d/%d recoveries %d+%d/%d skipped %d/%d",
+						label, res.Injections, ref.Injections, res.Recoveries, res.InheritedVerdicts, ref.Recoveries,
+						res.SkippedFailurePoints, ref.SkippedFailurePoints)
 				}
 				if res.ImageCacheHits+res.ImageCacheMisses != res.Recoveries {
-					t.Errorf("%s: cache traffic %d+%d does not account for %d recoveries",
-						v.name, res.ImageCacheHits, res.ImageCacheMisses, res.Recoveries)
+					t.Errorf("%s: table traffic %d+%d does not account for %d recoveries",
+						label, res.ImageCacheHits, res.ImageCacheMisses, res.Recoveries)
+				}
+				if res.ImageCacheEntries > res.ImageCacheMisses {
+					t.Errorf("%s: %d entries exceed %d recovery executions", label, res.ImageCacheEntries, res.ImageCacheMisses)
 				}
 			}
 		})
@@ -123,7 +143,7 @@ func TestImageCacheDifferential(t *testing.T) {
 // TestImageCacheDedupsScanPhase pins down the perf win on the fixture
 // built for it: the imagedup scan phase re-persists durable data, so
 // every scan leaf (and the deepest fill leaf) shares one crash image
-// and all but the first consultation hit the cache.
+// and is judged by a single recovery execution.
 func TestImageCacheDedupsScanPhase(t *testing.T) {
 	app, _ := imagedup.New("imagedup")
 	res, err := core.Analyze(app, smallWorkload(3), core.Config{DisableTraceAnalysis: true})
@@ -134,10 +154,11 @@ func TestImageCacheDedupsScanPhase(t *testing.T) {
 		t.Fatal("fixture injected nothing; dedup check is vacuous")
 	}
 	// depth+scan leaves plus setup: scan rounds and the deepest fill
-	// leaf share an image, so at least DefaultScanRounds hits.
-	if res.ImageCacheHits < imagedup.DefaultScanRounds {
-		t.Errorf("hits = %d, want >= %d (scan-phase leaves share one image)",
-			res.ImageCacheHits, imagedup.DefaultScanRounds)
+	// leaf share an image, so at least DefaultScanRounds verdicts are
+	// delivered without a recovery execution.
+	if shared := res.InheritedVerdicts + res.ImageCacheHits; shared < imagedup.DefaultScanRounds {
+		t.Errorf("shared verdicts = %d, want >= %d (scan-phase leaves share one image)",
+			shared, imagedup.DefaultScanRounds)
 	}
 	if res.ImageCacheMisses == 0 || res.ImageCacheEntries == 0 {
 		t.Errorf("misses = %d, entries = %d; first sight of each image must miss and populate",
@@ -148,19 +169,18 @@ func TestImageCacheDedupsScanPhase(t *testing.T) {
 	}
 }
 
-// TestImageCacheRecurringImageDistinctICounts checks that a memoised
+// TestImageCacheRecurringImageDistinctICounts checks that a shared
 // verdict still yields one finding per failure point: imagedup-broken's
 // scan leaves crash at distinct instruction counters but share a single
-// (cached) Unrecoverable verdict, and every finding keeps its own
-// ICount.
+// Unrecoverable verdict, and every finding keeps its own ICount.
 func TestImageCacheRecurringImageDistinctICounts(t *testing.T) {
 	app, _ := imagedup.New("imagedup-broken")
 	res, err := core.Analyze(app, smallWorkload(3), core.Config{DisableTraceAnalysis: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ImageCacheHits == 0 {
-		t.Fatal("no cache hits; recurring-image check is vacuous")
+	if res.InheritedVerdicts == 0 {
+		t.Fatal("no shared verdicts; recurring-image check is vacuous")
 	}
 	bugs := res.Report.Bugs()
 	if len(bugs) != res.Injections {
@@ -181,45 +201,47 @@ func TestImageCacheRecurringImageDistinctICounts(t *testing.T) {
 func TestImageCacheEADRDifferential(t *testing.T) {
 	mk := func() harness.Application { return btree.New(cfgSPT(btree.BugCountOutsideTx)) }
 	w := smallWorkload(7)
-	uncached, err := core.Analyze(mk(), w, core.Config{KeepWarnings: true, EADR: true, ImageCacheSize: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached, err := core.Analyze(mk(), w, core.Config{KeepWarnings: true, EADR: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := renderReport(t, cached.Report), renderReport(t, uncached.Report); got != want {
-		t.Errorf("eADR cached report differs from uncached\n--- uncached ---\n%s\n--- cached ---\n%s", want, got)
-	}
-	if cached.Recoveries != uncached.Recoveries || cached.EngineEvents != uncached.EngineEvents {
-		t.Errorf("eADR counters diverge: recoveries %d/%d events %d/%d",
-			cached.Recoveries, uncached.Recoveries, cached.EngineEvents, uncached.EngineEvents)
+	cfg := core.Config{KeepWarnings: true, EADR: true}
+	ref := analyzeReference(t, "btree-bug-seed7", mk, w, cfg)
+	for _, workers := range []int{1, 4} {
+		cfg.Workers = workers
+		res, err := core.Analyze(mk(), w, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := renderReport(t, res.Report), renderReport(t, ref.Report); got != want {
+			t.Errorf("workers=%d: eADR report differs from the reference\n--- reference ---\n%s\n--- campaign ---\n%s",
+				workers, want, got)
+		}
+		if res.Injections != ref.Injections || res.Recoveries+res.InheritedVerdicts != ref.Recoveries {
+			t.Errorf("workers=%d: eADR counters diverge: injections %d/%d recoveries %d+%d/%d",
+				workers, res.Injections, ref.Injections, res.Recoveries, res.InheritedVerdicts, ref.Recoveries)
+		}
 	}
 }
 
 // TestImageCacheStackModeDifferential covers the stack-mode campaign's
-// cachedCheck call site.
+// cachedCheck call site against the re-executing reference.
 func TestImageCacheStackModeDifferential(t *testing.T) {
 	app, _ := imagedup.New("imagedup-broken")
 	w := smallWorkload(5)
-	uncached, err := core.Analyze(app, w, core.Config{StackMode: true, DisableTraceAnalysis: true, ImageCacheSize: -1})
+	ref, err := core.Analyze(app, w, core.Reference(core.Config{StackMode: true, DisableTraceAnalysis: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	app2, _ := imagedup.New("imagedup-broken")
-	cached, err := core.Analyze(app2, w, core.Config{StackMode: true, DisableTraceAnalysis: true})
+	res, err := core.Analyze(app2, w, core.Config{StackMode: true, DisableTraceAnalysis: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := renderReport(t, cached.Report), renderReport(t, uncached.Report); got != want {
-		t.Errorf("stack-mode cached report differs from uncached\n--- uncached ---\n%s\n--- cached ---\n%s", want, got)
+	if got, want := renderReport(t, res.Report), renderReport(t, ref.Report); got != want {
+		t.Errorf("stack-mode report differs from the reference\n--- reference ---\n%s\n--- campaign ---\n%s", want, got)
 	}
-	if cached.ImageCacheHits == 0 {
-		t.Error("stack-mode campaign on imagedup-broken produced no cache hits")
+	if res.InheritedVerdicts == 0 {
+		t.Error("stack-mode campaign on imagedup-broken shared no verdicts")
 	}
-	if cached.ImageCacheHits+cached.ImageCacheMisses != cached.Recoveries {
-		t.Errorf("stack-mode cache traffic %d+%d does not account for %d recoveries",
-			cached.ImageCacheHits, cached.ImageCacheMisses, cached.Recoveries)
+	if res.ImageCacheHits+res.ImageCacheMisses != res.Recoveries {
+		t.Errorf("stack-mode table traffic %d+%d does not account for %d recoveries",
+			res.ImageCacheHits, res.ImageCacheMisses, res.Recoveries)
 	}
 }

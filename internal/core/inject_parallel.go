@@ -1,4 +1,4 @@
-// Parallel fault injection, both modes.
+// The fault-injection campaign loop, both modes.
 //
 // Every replay is independent: it builds a fresh private pmem.Engine —
 // restored from the recorded run's nearest checkpoint (counter mode) or
@@ -6,21 +6,22 @@
 // stack-matching injector over the frozen tree (stack mode) — crashes
 // it at the claimed leaf's failure point and hands the graceful-crash
 // image to a private recovery engine. Nothing but the read-only
-// workload, the stateless application value, the immutable tree, the
-// (concurrency-safe) stack table, the read-only checkpoint store and
-// the verdict cache is shared, so the campaign — the hot path of the
-// whole analysis — fans out across a bounded worker pool.
+// workload, the stateless application value, the immutable tree and
+// class plan, the (concurrency-safe) stack table, the read-only
+// checkpoint store and the verdict table is shared, so the campaign —
+// the hot path of the whole analysis — fans out across a bounded worker
+// pool. Workers <= 1 runs the same pool with one worker.
 //
 // Determinism is preserved by separating claiming and execution from
 // merging: workers take leaves from the ClaimSet in any interleaving,
 // but a single merge loop folds the outcomes into the Result and Report
-// strictly in leaf FirstICount order — the same order the serial
-// campaign uses — so the final report is byte-identical for any worker
-// count. Budget expiry, the MaxFailurePoints cap and stack mode's
-// no-progress abort are likewise decided only at merge time, in leaf
-// order; speculative replays beyond the stop point are discarded and
-// their claims released, keeping even the aggregate counters and the
-// final claim state identical to a serial run.
+// strictly in leaf FirstICount order, so the final report is
+// byte-identical for any worker count. Budget expiry, the
+// MaxFailurePoints cap and stack mode's no-progress abort are likewise
+// decided only at merge time, in leaf order; speculative replays beyond
+// the stop point are discarded and their claims released, keeping even
+// the aggregate counters and the final claim state independent of the
+// worker count.
 package core
 
 import (
@@ -29,10 +30,6 @@ import (
 	"time"
 
 	"mumak/internal/fpt"
-	"mumak/internal/harness"
-	"mumak/internal/pmem"
-	"mumak/internal/stack"
-	"mumak/internal/workload"
 )
 
 // injectParallel fans the pending leaves out across `workers` goroutines
@@ -42,10 +39,7 @@ import (
 // like the deadline — workers stop claiming, in-flight replays drain,
 // and the merge loop stops at the first unexecuted slot in leaf order —
 // but is attributed to Result.Interrupted instead of TimedOut.
-func injectParallel(app harness.Application, w workload.Workload, cs *fpt.ClaimSet,
-	stacks *stack.Table, mode campaignMode, m *mergeState,
-	sb sandboxCfg, cache *imageCache, ckpts *pmem.CheckpointStore, workers int) (timedOut bool) {
-
+func injectParallel(cs *fpt.ClaimSet, m *mergeState, sb sandboxCfg, workers int) (timedOut bool) {
 	res := m.res
 	pending := cs.Pending()
 	n := len(pending)
@@ -88,9 +82,7 @@ func injectParallel(app harness.Application, w workload.Workload, cs *fpt.ClaimS
 					return
 				}
 				t0 := time.Now()
-				outcomes[i] = replayClassed(m.plan, cache, leaf, func() replayOutcome {
-					return replayLeafWithRetry(app, w, leaf, stacks, mode, sb, cache, ckpts)
-				})
+				outcomes[i] = replayClassed(m.plan, m.table, leaf, m.replayer)
 				busy.Add(int64(time.Since(t0)))
 				close(done[i])
 			}
@@ -109,7 +101,7 @@ func injectParallel(app harness.Application, w workload.Workload, cs *fpt.ClaimS
 			// every earlier leaf — the member's representative included —
 			// has been merged, so the member inherits its class verdict,
 			// or falls back to a live replay on this goroutine when the
-			// representative produced none (exactly the serial dispatch).
+			// representative produced none.
 			// A fallback that trips the mid-replay deadline watchdog is
 			// handled by the deadlineHit branch below, and the release
 			// sweep hands the member's claim back.
@@ -121,7 +113,7 @@ func injectParallel(app harness.Application, w workload.Workload, cs *fpt.ClaimS
 			// The worker stopped before replaying (deadline or
 			// interruption) or the mid-replay watchdog cut the replay
 			// short; decided here in leaf order so speculative later
-			// replays are discarded exactly like the serial path. A
+			// replays are discarded. A
 			// mid-replay watchdog cut is always budget expiry; an
 			// unexecuted slot is attributed to the interruption when
 			// one is pending, to the deadline otherwise.
@@ -142,8 +134,8 @@ func injectParallel(app harness.Application, w workload.Workload, cs *fpt.ClaimS
 	res.WorkerBusy += time.Duration(busy.Load())
 	// Release the claims of leaves that were taken speculatively but
 	// never consumed (deadline, cap, abort): those failure points are
-	// still unexplored, and the final claim state must match what a
-	// serial campaign stopping at the same leaf would leave behind.
+	// still unexplored, and the final claim state must not depend on how
+	// far ahead the workers ran.
 	for i := consumed; i < n; i++ {
 		if taken[i] {
 			cs.Release(pending[i])

@@ -3,8 +3,8 @@
 // campaign state; a resumed run folds the journaled prefix back through
 // the same merge step without re-executing a single replay.
 //
-// Why this yields byte-identical reports: the merge loop (serial and
-// parallel alike) consumes leaves strictly in FirstICount order, so the
+// Why this yields byte-identical reports: the merge loop (for any
+// worker count) consumes leaves strictly in FirstICount order, so the
 // journal is always a prefix of the deterministic campaign over the
 // tree the (deterministic) instrumented run rebuilds. Folding record i
 // into leaf i of LeavesByICount applies exactly the state transitions
@@ -29,7 +29,7 @@ import (
 // between campaign snapshots (Config.SnapshotEvery overrides it).
 // Correctness never depends on snapshot frequency — resume folds the
 // journal records — so the cadence only trades snapshot I/O against how
-// much verdict-cache warmth a crash loses.
+// much verdict-table warmth a crash loses.
 const DefaultSnapshotEvery = 128
 
 // snapshotEvery resolves Config.SnapshotEvery: the default when zero,
@@ -113,10 +113,11 @@ func outcomeFromRecord(rec campaign.Record, leaf *fpt.Leaf) replayOutcome {
 	return out
 }
 
-// encodeCacheEntry flattens one verdict-cache entry for a snapshot. The
-// oracle outcome's error and panic value become their rendered strings,
-// which is exactly what Describe interpolates — a decoded entry renders
-// byte-for-byte like the live one.
+// encodeCacheEntry flattens one verdict-table entry for a snapshot or
+// a cross-run verdict-cache file. The oracle outcome's error and panic
+// value become their rendered strings, which is exactly what Describe
+// interpolates — a decoded entry renders byte-for-byte like the live
+// one.
 func encodeCacheEntry(k imageKey, out oracle.Outcome) campaign.CacheEntry {
 	e := campaign.CacheEntry{
 		Hash:            k.hash,
@@ -276,9 +277,7 @@ func (m *mergeState) buildSnapshot() (campaign.Snapshot, error) {
 			Retried:      m.res.RetriedFailurePoints,
 			EngineEvents: m.res.EngineEvents,
 		},
-	}
-	if m.cache != nil {
-		snap.Cache = m.cache.export()
+		Cache: m.table.export(),
 	}
 	return snap, nil
 }

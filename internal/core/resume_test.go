@@ -22,6 +22,7 @@ import (
 // — here, no matter where the previous campaign died.
 func resumeCases() []struct {
 	name      string
+	fixture   string
 	mk        func() harness.Application
 	w         workload.Workload
 	stackMode bool
@@ -29,6 +30,7 @@ func resumeCases() []struct {
 } {
 	var out []struct {
 		name      string
+		fixture   string
 		mk        func() harness.Application
 		w         workload.Workload
 		stackMode bool
@@ -43,13 +45,15 @@ func resumeCases() []struct {
 				}
 				out = append(out, struct {
 					name      string
+					fixture   string
 					mk        func() harness.Application
 					w         workload.Workload
 					stackMode bool
 					workers   int
 				}{
-					name: fmt.Sprintf("%s/%s/workers=%d", tc.name, mode, workers),
-					mk:   tc.mk, w: tc.w, stackMode: stackMode, workers: workers,
+					name:    fmt.Sprintf("%s/%s/workers=%d", tc.name, mode, workers),
+					fixture: tc.name,
+					mk:      tc.mk, w: tc.w, stackMode: stackMode, workers: workers,
 				})
 			}
 		}
@@ -148,11 +152,13 @@ func copyTruncated(t *testing.T, src string, n int64, keepSnapshot bool) string 
 }
 
 // assertResumeMatches checks the crash-safety acceptance contract
-// between an uninterrupted reference run and a resumed one: the report
-// is byte-identical and the deterministic aggregate counters agree.
-// Image-cache hit/miss splits are deliberately not compared — a resumed
-// run seeds its cache from the snapshot, which legitimately converts
-// misses into hits without changing any verdict.
+// between an uninterrupted run and a resumed one: the report is
+// byte-identical and the deterministic aggregate counters agree.
+// Verdict-table hit/miss splits are deliberately not compared, and
+// engine events may only shrink: a resumed run loads its table from the
+// snapshot, which legitimately lets a representative elide its replay
+// (a hit instead of a miss, no gap replayed) without changing any
+// verdict.
 func assertResumeMatches(t *testing.T, label string, ref, res *core.Result) {
 	t.Helper()
 	if got, want := res.Report.Format(true), ref.Report.Format(true); got != want {
@@ -162,7 +168,7 @@ func assertResumeMatches(t *testing.T, label string, ref, res *core.Result) {
 	if res.Injections != ref.Injections || res.Recoveries != ref.Recoveries ||
 		res.SkippedFailurePoints != ref.SkippedFailurePoints ||
 		res.QuarantinedFailurePoints != ref.QuarantinedFailurePoints ||
-		res.EngineEvents != ref.EngineEvents {
+		res.EngineEvents > ref.EngineEvents {
 		t.Errorf("%s: counters diverge: injections %d/%d recoveries %d/%d skipped %d/%d quarantined %d/%d events %d/%d",
 			label, res.Injections, ref.Injections, res.Recoveries, ref.Recoveries,
 			res.SkippedFailurePoints, ref.SkippedFailurePoints,
@@ -203,7 +209,8 @@ func TestJournaledRunMatchesUnjournaled(t *testing.T) {
 // an arbitrary byte — simulated by truncating the journal at a spread
 // of offsets, including mid-record, with and without the (then stale or
 // torn) snapshot — must resume to a final report byte-identical to an
-// uninterrupted run. Counter and stack mode, serial and parallel.
+// uninterrupted run and to the reference campaign. Counter and stack
+// mode, one worker and four.
 func TestResumeAfterKill(t *testing.T) {
 	for _, tc := range resumeCases() {
 		tc := tc
@@ -216,6 +223,11 @@ func TestResumeAfterKill(t *testing.T) {
 			}
 			if len(ref.Report.Bugs()) == 0 {
 				t.Fatal("fixture produced no findings; the identity check is vacuous")
+			}
+			slow := analyzeReference(t, tc.fixture, tc.mk, tc.w, core.Config{StackMode: tc.stackMode})
+			if got, want := ref.Report.Format(true), slow.Report.Format(true); got != want {
+				t.Fatalf("uninterrupted run differs from the reference campaign\n--- reference ---\n%s\n--- campaign ---\n%s",
+					want, got)
 			}
 			full := t.TempDir()
 			analyzeJournaled(t, tc.mk, tc.w, cfg, full)

@@ -52,9 +52,9 @@ func TestSandboxDifferentialCleanTarget(t *testing.T) {
 	}
 }
 
-// TestReplayHonoursDeadlineMidReplay regresses the serial campaign's
-// deadline blind spot: the budget used to be checked only between
-// replays, so a single replay that never reached its counter could
+// TestReplayHonoursDeadlineMidReplay regresses the campaign's deadline
+// blind spot: the budget used to be checked only between replays, so a
+// single re-executed replay that never reached its failure point could
 // overshoot it without bound. The engine now carries the campaign
 // deadline as a wall-clock watchdog, cutting the replay from inside.
 func TestReplayHonoursDeadlineMidReplay(t *testing.T) {
@@ -68,7 +68,7 @@ func TestReplayHonoursDeadlineMidReplay(t *testing.T) {
 		deadline: time.Now().Add(100 * time.Millisecond),
 	}
 	start := time.Now()
-	out := replayLeaf(app, w, leaf, stacks, Config{}.campaignMode(), sb, nil, nil)
+	out := replayLeaf(app, w, leaf, stacks, Config{StackMode: true}.campaignMode(), sb, newVerdictTable(), nil)
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("replay ran %s past a 100ms deadline", elapsed)
 	}
@@ -117,16 +117,20 @@ func (a *flakyApp) Run(e *pmem.Engine, w workload.Workload) error {
 }
 
 // TestLeafRetryRecoversTransientFailure: one transient replay failure
-// must cost one retry, not a skipped failure point.
+// must cost one retry, not a skipped failure point. Stack-mode replays
+// re-execute the target, so they observe the flaky Run.
 func TestLeafRetryRecoversTransientFailure(t *testing.T) {
 	w := testWorkload()
-	tree, stacks := buildTree(t, testTarget(), w)
+	tree, stacks, _ := buildTree(t, testTarget(), w)
 	leaves := tree.LeavesByICount()
 	// The last leaf's counter lies inside Run, so the flaky failure is
 	// actually exercised (early leaves crash during Setup, before Run).
 	leaf := leaves[len(leaves)-1]
 	flaky := &flakyApp{Application: testTarget(), failures: 1}
-	out := replayLeafWithRetry(flaky, w, leaf, stacks, Config{}.campaignMode(), Config{}.sandbox(time.Time{}), nil, nil)
+	sb := Config{}.sandbox(time.Time{})
+	out := retryLeaf(sb, func() replayOutcome {
+		return replayLeaf(flaky, w, leaf, stacks, Config{StackMode: true}.campaignMode(), sb, newVerdictTable(), nil)
+	})
 	if out.retries != 1 {
 		t.Errorf("retries = %d, want 1", out.retries)
 	}
@@ -135,15 +139,16 @@ func TestLeafRetryRecoversTransientFailure(t *testing.T) {
 	}
 }
 
-// TestCampaignCountsRetries: the whole campaign folds per-leaf retries
-// into Result.RetriedFailurePoints and keeps full coverage.
+// TestCampaignCountsRetries: the whole (stack-mode, so re-executing)
+// campaign folds per-leaf retries into Result.RetriedFailurePoints and
+// keeps full coverage.
 func TestCampaignCountsRetries(t *testing.T) {
 	w := testWorkload()
-	tree, stacks := buildTree(t, testTarget(), w)
+	tree, stacks, _ := buildTree(t, testTarget(), w)
 	rep := &report.Report{Target: "test", Tool: "test", Stacks: stacks}
 	res := &Result{Report: rep}
 	flaky := &flakyApp{Application: testTarget(), failures: 1}
-	timedOut, err := injectAll(flaky, w, tree, Config{}, rep, res, time.Time{}, nil)
+	timedOut, err := injectAll(flaky, w, tree, Config{StackMode: true}, rep, res, time.Time{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 )
 
 // stackDiffCombos is the seed × persistence-domain matrix of the
-// stack-mode differential suite.
+// registry-wide differential suites.
 var stackDiffCombos = []struct {
 	seed int64
 	eadr bool
@@ -23,20 +23,20 @@ var stackDiffCombos = []struct {
 	{4242, true},
 }
 
-// diffStackCampaign runs the same stack-mode campaign serially and with
-// 4 workers and requires byte-identical reports, agreeing aggregate
-// counters and identical final claim state.
-func diffStackCampaign(t *testing.T, mk func() (harness.Application, error), seed int64, eadr, wantFindings bool) {
+// diffCampaign runs the same campaign through the serial reference and
+// with 1 and 4 workers, and requires byte-identical reports, agreeing
+// coverage and identical final claim state.
+func diffCampaign(t *testing.T, mk func() (harness.Application, error), seed int64, eadr, stackMode, wantFindings bool) {
 	t.Helper()
 	w := workload.Generate(workload.Config{N: 120, Seed: seed, Keyspace: 60,
 		PutFrac: 2, GetFrac: 1, DeleteFrac: 1})
-	cfg := core.Config{StackMode: true, EADR: eadr, DisableTraceAnalysis: true}
+	cfg := core.Config{StackMode: stackMode, EADR: eadr, DisableTraceAnalysis: true}
 
 	app, err := mk()
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := core.Analyze(app, w, cfg)
+	serial, err := core.Analyze(app, w, core.Reference(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,69 +45,88 @@ func diffStackCampaign(t *testing.T, mk func() (harness.Application, error), see
 	}
 	want := serial.Report.Format(true)
 
-	app, err = mk()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pcfg := cfg
-	pcfg.Workers = 4
-	par, err := core.Analyze(app, w, pcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := par.Report.Format(true); got != want {
-		t.Errorf("parallel stack-mode report differs from serial\n--- serial ---\n%s\n--- parallel ---\n%s", want, got)
-	}
-	if par.Injections != serial.Injections || par.Recoveries != serial.Recoveries ||
-		par.SkippedFailurePoints != serial.SkippedFailurePoints ||
-		par.EngineEvents != serial.EngineEvents ||
-		par.InjectionAborted != serial.InjectionAborted {
-		t.Errorf("counters diverge: injections %d/%d recoveries %d/%d skipped %d/%d events %d/%d aborted %v/%v",
-			par.Injections, serial.Injections, par.Recoveries, serial.Recoveries,
-			par.SkippedFailurePoints, serial.SkippedFailurePoints,
-			par.EngineEvents, serial.EngineEvents,
-			par.InjectionAborted, serial.InjectionAborted)
-	}
-	if got, want := par.Claims.Remaining(), serial.Claims.Remaining(); got != want {
-		t.Errorf("claim state diverges: %d unclaimed, serial %d", got, want)
-	}
-	if par.ClaimContention != 0 {
-		t.Errorf("claim traversal observed %d contended claims, want 0", par.ClaimContention)
-	}
-	if par.CampaignWorkers != 4 || serial.CampaignWorkers != 1 {
-		t.Errorf("campaign worker counts: parallel %d (want 4), serial %d (want 1)",
-			par.CampaignWorkers, serial.CampaignWorkers)
+	var one *core.Result
+	for _, workers := range []int{1, 4} {
+		app, err = mk()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pcfg := cfg
+		pcfg.Workers = workers
+		par, err := core.Analyze(app, w, pcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := par.Report.Format(true); got != want {
+			t.Errorf("workers=%d: report differs from the serial reference\n--- serial ---\n%s\n--- parallel ---\n%s",
+				workers, want, got)
+		}
+		if par.Injections != serial.Injections || par.SkippedFailurePoints != serial.SkippedFailurePoints ||
+			par.InjectionAborted != serial.InjectionAborted {
+			t.Errorf("workers=%d: coverage diverges: injections %d/%d skipped %d/%d aborted %v/%v",
+				workers, par.Injections, serial.Injections,
+				par.SkippedFailurePoints, serial.SkippedFailurePoints,
+				par.InjectionAborted, serial.InjectionAborted)
+		}
+		if got, want := par.Claims.Remaining(), serial.Claims.Remaining(); got != want {
+			t.Errorf("workers=%d: claim state diverges: %d unclaimed, serial %d", workers, got, want)
+		}
+		if par.ClaimContention != 0 {
+			t.Errorf("workers=%d: claim traversal observed %d contended claims, want 0", workers, par.ClaimContention)
+		}
+		if par.CampaignWorkers != workers {
+			t.Errorf("campaign ran with %d workers, want %d", par.CampaignWorkers, workers)
+		}
+		if one == nil {
+			one = par
+		} else if par.Recoveries != one.Recoveries || par.EngineEvents != one.EngineEvents {
+			t.Errorf("workers=%d: counters diverge from one worker: recoveries %d/%d events %d/%d",
+				workers, par.Recoveries, one.Recoveries, par.EngineEvents, one.EngineEvents)
+		}
 	}
 }
 
-// TestStackModeParallelMatchesSerial is the stack-mode determinism
-// contract, mirroring the counter-mode differential suite: for any
-// worker count the parallel stack-mode campaign must produce a report
-// byte-identical to the serial one, with agreeing aggregate counters and
-// identical final claim state. Every registry target is exercised (the
-// seed × eADR combos rotate across the registry so each combination
-// appears), and a seeded-bug fixture with real findings covers the full
-// matrix so byte-identity is never vacuous. Run under -race this also
-// exercises the concurrent ClaimSet traversal and the shared verdict
-// cache on every registered target.
-func TestStackModeParallelMatchesSerial(t *testing.T) {
+// diffRegistry runs diffCampaign over every registry target with a
+// poolMB MiB pool (the seed × eADR combos rotate across the registry so
+// each combination appears) and over a seeded-bug fixture with real
+// findings on the whole combo matrix, so byte-identity is never
+// vacuous.
+func diffRegistry(t *testing.T, stackMode bool, poolMB int) {
 	for i, name := range apps.Names() {
 		combo := stackDiffCombos[i%len(stackDiffCombos)]
 		name := name
 		t.Run(fmt.Sprintf("%s/seed=%d/eadr=%v", name, combo.seed, combo.eadr), func(t *testing.T) {
-			diffStackCampaign(t, func() (harness.Application, error) {
-				return apps.New(name, apps.Config{SPT: true, PoolSize: 8 << 20, WithRecovery: true})
-			}, combo.seed, combo.eadr, false)
+			diffCampaign(t, func() (harness.Application, error) {
+				return apps.New(name, apps.Config{SPT: true, PoolSize: poolMB << 20, WithRecovery: true})
+			}, combo.seed, combo.eadr, stackMode, false)
 		})
 	}
-	// The seeded-bug fixture has real crash-consistency findings, so the
-	// byte-identity check bites; it runs the whole seed × eADR matrix.
 	for _, combo := range stackDiffCombos {
 		combo := combo
 		t.Run(fmt.Sprintf("btree-buggy/seed=%d/eadr=%v", combo.seed, combo.eadr), func(t *testing.T) {
-			diffStackCampaign(t, func() (harness.Application, error) {
+			diffCampaign(t, func() (harness.Application, error) {
 				return btree.New(cfgSPT(btree.BugCountOutsideTx)), nil
-			}, combo.seed, combo.eadr, true)
+			}, combo.seed, combo.eadr, stackMode, true)
 		})
 	}
+}
+
+// TestStackModeParallelMatchesSerial is the stack-mode determinism
+// contract: for any worker count the stack-mode campaign must produce a
+// report byte-identical to the serial reference, with agreeing coverage
+// and identical final claim state, on every registry target. Run under
+// -race this also exercises the concurrent ClaimSet traversal and the
+// shared verdict table on every registered target.
+func TestStackModeParallelMatchesSerial(t *testing.T) {
+	diffRegistry(t, true, 8)
+}
+
+// TestCounterModeMatchesReferenceAcrossRegistry is the same contract
+// for the default counter mode, whose campaign restores checkpoints
+// while the reference re-executes every failure point from scratch.
+// The 2 MiB pool keeps redis affordable: its phase 1 and gap replays
+// grow with the pool squared (write-pending-queue scans, ROADMAP item
+// 2), about 4 s per campaign at 2 MiB against 2 min at 8 MiB.
+func TestCounterModeMatchesReferenceAcrossRegistry(t *testing.T) {
+	diffRegistry(t, false, 2)
 }

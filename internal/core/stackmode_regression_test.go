@@ -61,9 +61,9 @@ func (in *legacyStackInjector) OnEvent(ev *pmem.Event) {
 // campaign: whole-workload replays, each crashing at the first
 // unvisited failure point encountered, until a replay completes without
 // firing. Findings go through the same recovery oracle and verdict
-// cache as the real campaign.
+// table as the real campaign.
 func legacyStackSerial(t *testing.T, app harness.Application, w workload.Workload,
-	tree *fpt.Tree, rep *report.Report, sb sandboxCfg, cache *imageCache) {
+	tree *fpt.Tree, rep *report.Report, sb sandboxCfg, table *verdictTable) {
 	t.Helper()
 	stacks := tree.Stacks()
 	visited := make(map[*fpt.Leaf]bool)
@@ -83,7 +83,7 @@ func legacyStackSerial(t *testing.T, app harness.Application, w workload.Workloa
 			// No unvisited failure point was reached; done.
 			return
 		}
-		check, ddl, _, _ := cachedCheck(app, eng, sb, cache)
+		check, ddl, _, _ := cachedCheck(app, eng, sb, table)
 		if ddl {
 			t.Fatal("legacy replay hit the deadline")
 		}
@@ -117,10 +117,10 @@ func TestStackModeWorkersOneMatchesLegacySerial(t *testing.T) {
 	w := testWorkload()
 
 	// Legacy reference campaign.
-	tree, stacks := buildTree(t, mk(), w)
+	tree, stacks, _ := buildTree(t, mk(), w)
 	refRep := &report.Report{Target: "test", Tool: "test", Stacks: stacks}
 	sb := Config{}.sandbox(time.Time{})
-	legacyStackSerial(t, mk(), w, tree, refRep, sb, newImageCache(Config{}.imageCacheCapacity()))
+	legacyStackSerial(t, mk(), w, tree, refRep, sb, newVerdictTable())
 	want := refRep.Format(true)
 	if len(refRep.Bugs()) == 0 {
 		t.Fatal("legacy campaign found no bugs; the comparison is vacuous")
@@ -128,7 +128,7 @@ func TestStackModeWorkersOneMatchesLegacySerial(t *testing.T) {
 
 	// The refactored campaign, serial (-workers=1) and fanned out.
 	for _, workers := range []int{1, 4} {
-		tree, stacks := buildTree(t, mk(), w)
+		tree, stacks, _ := buildTree(t, mk(), w)
 		rep := &report.Report{Target: "test", Tool: "test", Stacks: stacks}
 		res := &Result{Report: rep}
 		cfg := Config{StackMode: true, Workers: workers}
